@@ -1,14 +1,19 @@
-// A6 — throughput of the CONGEST round engine: the zero-allocation
-// CSR-arena delivery path (congest/network.cpp) vs. a faithful replica of
-// the previous per-node vector inbox/outbox engine (inboxes reallocated
+// A6 — throughput of the CONGEST round engine: the traffic-sized delivery
+// path of congest/network.cpp (one staging buffer, counting-sorted by
+// receiver into a delivered buffer at end_round) vs. a faithful replica of
+// the seed's per-node vector inbox/outbox engine (inboxes reallocated
 // every round, trace evicted with erase(begin())).
 //
-// Three measurements per graph family:
-//   1. rounds/sec and messages/sec, all-edges traffic, tracing off;
+// Four measurements:
+//   1. rounds/sec and messages/sec per graph family, all-edges traffic,
+//      tracing off;
 //   2. the same with a capped trace enabled (the erase-front eviction is
 //      O(cap) per dropped event — quadratic once the cap is hit);
-//   3. heap allocations per steady-state round of the arena engine,
-//      counted by a replaced global operator new (must be exactly 0).
+//   3. heap allocations per steady-state round of the network, counted by
+//      a replaced global operator new (must be exactly 0);
+//   4. heap bytes allocated by constructing a network over a borrowed
+//      K_256,256 Graph, per directed edge (must be at most 16: delivery
+//      memory scales with traffic, not with edges).
 //
 // The two engines are also driven through an identical randomized schedule
 // and must agree on every inbox (contents and order), every NetStats
@@ -30,21 +35,31 @@
 // ---------------------------------------------------------------------------
 // Allocation counter: every path to the heap in this binary goes through
 // these operators, so a delta of zero over a window proves the engine did
-// not touch the allocator.
+// not touch the allocator, and the byte delta over a window is everything
+// it requested.
 namespace {
 std::atomic<long long> g_heap_allocs{0};
+std::atomic<long long> g_heap_bytes{0};
 }
 
 void* operator new(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(static_cast<long long>(size),
+                         std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The deletes stay out of line: a free() inlined next to a call of
+// operator new trips GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dasm {
 namespace {
@@ -67,7 +82,7 @@ int legacy_encoded_bits(const Message& msg) {
   return 8 + legacy_payload_bits(msg.a) + legacy_payload_bits(msg.b);
 }
 
-// Replica of the pre-arena engine: per-node vector inboxes/outboxes moved
+// Replica of the seed engine: per-node vector inboxes/outboxes moved
 // and regrown every round, binary-search edge lookup, nested per-node
 // stamp vectors, erase-from-front trace eviction — the seed's
 // congest/network.cpp send/end_round paths, line for line.
@@ -232,28 +247,28 @@ Throughput time_saturated(Engine& eng,
 // bit-for-bit agreement of inboxes, stats, and the silent flag.
 bool engines_agree(const std::vector<std::vector<NodeId>>& adj, int rounds,
                    std::uint64_t seed) {
-  Network arena(adj);
-  LegacyEngine legacy(adj, arena.message_bit_budget());
+  Network net(adj);
+  LegacyEngine legacy(adj, net.message_bit_budget());
   Xoshiro256 rng(seed);
   for (int r = 0; r < rounds; ++r) {
-    arena.begin_round();
+    net.begin_round();
     legacy.begin_round();
     for (NodeId u = 0; u < static_cast<NodeId>(adj.size()); ++u) {
       for (NodeId v : adj[static_cast<std::size_t>(u)]) {
         if (!rng.bernoulli(0.5)) continue;
         const Message msg{static_cast<MsgType>(rng.below(4)),
                           rng.range(0, 1 << 10)};
-        arena.send(u, v, msg);
+        net.send(u, v, msg);
         legacy.send(u, v, msg);
       }
     }
-    arena.end_round();
+    net.end_round();
     legacy.end_round();
-    if (arena.last_round_was_silent() != legacy.last_round_was_silent()) {
+    if (net.last_round_was_silent() != legacy.last_round_was_silent()) {
       return false;
     }
     for (NodeId v = 0; v < static_cast<NodeId>(adj.size()); ++v) {
-      const InboxView got = arena.inbox(v);
+      const InboxView got = net.inbox(v);
       const auto& want = legacy.inbox(v);
       if (got.size() != want.size()) return false;
       for (std::size_t i = 0; i < got.size(); ++i) {
@@ -261,7 +276,7 @@ bool engines_agree(const std::vector<std::vector<NodeId>>& adj, int rounds,
       }
     }
   }
-  return arena.stats() == legacy.stats();
+  return net.stats() == legacy.stats();
 }
 
 }  // namespace
@@ -274,9 +289,9 @@ int main(int argc, char** argv) {
       "A6",
       "Engine plumbing, not the paper: per-round message delivery cost of "
       "the CONGEST simulator that every experiment pays",
-      "CSR-arena engine >= 2x rounds/sec of the legacy vector engine on "
-      "dense graphs, identical delivered traffic, 0 allocations per "
-      "steady-state round");
+      "traffic-sized network >= 2x rounds/sec of the legacy vector engine "
+      "on dense graphs, identical delivered traffic, 0 allocations per "
+      "steady-state round, <= 16 B per directed edge at construction");
 
   const bool large = bench::large_mode();
   struct Config {
@@ -301,18 +316,18 @@ int main(int argc, char** argv) {
       const std::size_t cap = 1024;
       const int rounds = traced ? (large ? 12 : 5) : cfg.rounds;
       LegacyEngine legacy(cfg.adj, 1 << 20);
-      Network arena(cfg.adj, 1 << 20);
+      Network net(cfg.adj, 1 << 20);
       if (traced) {
         legacy.enable_trace(cap);
-        arena.enable_trace(cap);
+        net.enable_trace(cap);
       }
       const Throughput before = time_saturated(legacy, cfg.adj, rounds);
-      const Throughput after = time_saturated(arena, cfg.adj, rounds);
+      const Throughput after = time_saturated(net, cfg.adj, rounds);
       const double speedup = after.rounds_per_sec / before.rounds_per_sec;
       table.add_row({cfg.name, "legacy", traced ? "on" : "off",
                      Table::num(before.rounds_per_sec, 0),
                      Table::num(before.msgs_per_sec / 1e6, 1), "1"});
-      table.add_row({cfg.name, "arena", traced ? "on" : "off",
+      table.add_row({cfg.name, "network", traced ? "on" : "off",
                      Table::num(after.rounds_per_sec, 0),
                      Table::num(after.msgs_per_sec / 1e6, 1),
                      Table::num(speedup, 2)});
@@ -346,26 +361,52 @@ int main(int argc, char** argv) {
                        "inboxes, NetStats, and silent flags bit-identical "
                        "across engines on randomized schedules");
 
-  // Steady-state allocation count of the arena engine (trace on and off:
-  // the ring buffer is preallocated, so tracing stays allocation-free).
+  // Steady-state allocation count of the network (trace on and off: the
+  // ring buffer is preallocated, so tracing stays allocation-free). The
+  // warm-up rounds grow the staging and delivered buffers to a saturated
+  // round's traffic; from then on they only reuse their capacity.
   bool zero_alloc = true;
   const auto alloc_adj = complete_bipartite(32);
   for (const bool traced : {false, true}) {
-    Network arena(alloc_adj);
-    if (traced) arena.enable_trace(64);
-    for (int r = 0; r < 4; ++r) g_sink += saturate_round(arena, alloc_adj, r);
+    Network net(alloc_adj);
+    if (traced) net.enable_trace(64);
+    for (int r = 0; r < 4; ++r) g_sink += saturate_round(net, alloc_adj, r);
     const long long before = g_heap_allocs.load(std::memory_order_relaxed);
-    for (int r = 0; r < 64; ++r) g_sink += saturate_round(arena, alloc_adj, r);
+    for (int r = 0; r < 64; ++r) g_sink += saturate_round(net, alloc_adj, r);
     const long long allocs =
         g_heap_allocs.load(std::memory_order_relaxed) - before;
-    std::cout << "arena engine, trace " << (traced ? "on" : "off")
-              << ": " << allocs << " heap allocations over 64 rounds\n";
+    std::cout << "network, trace " << (traced ? "on" : "off") << ": "
+              << allocs << " heap allocations over 64 rounds\n";
     zero_alloc = zero_alloc && allocs == 0;
   }
   bench::print_verdict(zero_alloc, "steady-state rounds allocate nothing");
   bench::print_verdict(dense_speedup_ok,
-                       "arena engine >= 2x legacy rounds/sec on the dense "
-                       "graph (trace off)");
+                       "network >= 2x legacy rounds/sec on the dense graph "
+                       "(trace off)");
+
+  // Construction footprint: every byte a network over a borrowed Graph
+  // requests before its first round (the per-port send marks and the
+  // per-node tables; delivery buffers start empty).
+  const NodeId half = 256;
+  std::vector<Edge> kbb_edges;
+  for (NodeId u = 0; u < half; ++u) {
+    for (NodeId v = 0; v < half; ++v) kbb_edges.push_back(Edge{u, half + v});
+  }
+  const Graph kbb(2 * half, kbb_edges);
+  const long long bytes_before = g_heap_bytes.load(std::memory_order_relaxed);
+  double bytes_per_edge = 0;
+  {
+    const Network net(kbb);
+    bytes_per_edge =
+        static_cast<double>(g_heap_bytes.load(std::memory_order_relaxed) -
+                            bytes_before) /
+        static_cast<double>(2 * kbb.edge_count());
+  }
+  std::cout << "network construction over K_256,256: "
+            << Table::num(bytes_per_edge, 2) << " B per directed edge\n";
+  bench::print_verdict(bytes_per_edge <= 16.0,
+                       "network construction allocates <= 16 B per directed "
+                       "edge");
 
   // Separate instrumented pass for --metrics-out, after every timed
   // measurement so the registry never perturbs them: saturated rounds on
@@ -373,10 +414,10 @@ int main(int argc, char** argv) {
   if (!opts.metrics_out.empty()) {
     obs::MetricsRegistry registry;
     const auto metrics_adj = complete_bipartite(128);
-    Network arena(metrics_adj, 1 << 20);
-    arena.set_metrics(&registry);
+    Network net(metrics_adj, 1 << 20);
+    net.set_metrics(&registry);
     for (int r = 0; r < 50; ++r) {
-      g_sink += saturate_round(arena, metrics_adj, r);
+      g_sink += saturate_round(net, metrics_adj, r);
     }
     bench::write_metrics_snapshot(opts.metrics_out, registry);
   }

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
             << trace_rounds << " MatchingRounds) ---\n";
   const Instance tiny = gen::regular_bipartite(4, 2, seed);
   const Graph& tg = tiny.graph().graph();
-  Network net(tg.adjacency());
+  Network net(tg);
   net.enable_trace(4096);
   std::vector<std::unique_ptr<mm::Node>> nodes;
   for (NodeId v = 0; v < tg.node_count(); ++v) {

@@ -19,7 +19,7 @@ set -euo pipefail
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 if [ "${1:-}" = "--check" ]; then
-  # Sanitizer gate 1: the arena engine's pointer-flipping delivery path and
+  # Sanitizer gate 1: the network's counting-sort delivery path and
   # every protocol on top of it run under ASan+UBSan.
   cmake --preset asan
   cmake --build --preset asan

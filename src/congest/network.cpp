@@ -63,111 +63,125 @@ int default_bit_budget(std::size_t n) {
   return 8 * std::max(width, 4);
 }
 
-}  // namespace
-
-Network::Network(std::vector<std::vector<NodeId>> adjacency,
-                 int message_bit_budget)
-    : adj_(std::move(adjacency)) {
-  const auto n = adj_.size();
-  bit_budget_ = message_bit_budget > 0 ? message_bit_budget
-                                       : default_bit_budget(n);
+// Validates adjacency lists and builds the Graph they describe. Edges are
+// taken from the row of their lower endpoint; Graph(n, edges) inserts both
+// directions, so the lists are symmetric and duplicate-free exactly when
+// every row, sorted, equals the graph's row.
+std::unique_ptr<const Graph> graph_from_adjacency(
+    const std::vector<std::vector<NodeId>>& adjacency) {
+  const auto n = adjacency.size();
+  std::vector<Edge> edges;
   for (std::size_t v = 0; v < n; ++v) {
-    auto& nb = adj_[v];
-    std::sort(nb.begin(), nb.end());
-    DASM_CHECK_MSG(std::adjacent_find(nb.begin(), nb.end()) == nb.end(),
-                   "duplicate neighbour in adjacency of node " << v);
-    for (NodeId u : nb) {
+    for (const NodeId u : adjacency[v]) {
       DASM_CHECK_MSG(u >= 0 && static_cast<std::size_t>(u) < n,
                      "neighbour id out of range: " << u);
       DASM_CHECK_MSG(u != static_cast<NodeId>(v), "self-loop at node " << v);
-    }
-  }
-  // Verify symmetry: (u, v) in adj[u] implies (v, u) in adj[v].
-  for (std::size_t v = 0; v < n; ++v) {
-    for (NodeId u : adj_[v]) {
-      const auto& back = adj_[static_cast<std::size_t>(u)];
-      DASM_CHECK_MSG(
-          std::binary_search(back.begin(), back.end(), static_cast<NodeId>(v)),
-          "asymmetric adjacency between " << v << " and " << u);
-    }
-  }
-  // Size the delivery arenas once: node v receives at most one message per
-  // in-edge per round, so its inbox fits in deg(v) slots forever.
-  slot_offset_.resize(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    slot_offset_[v + 1] = slot_offset_[v] + adj_[v].size();
-  }
-  for (Arena& a : arenas_) {
-    a.slots.resize(slot_offset_[n]);
-    a.fill.assign(n, 0);
-    a.dirty.reserve(n);
-  }
-  // Build the neighbour probe tables (load factor <= 1/2).
-  port_offset_.resize(n + 1, 0);
-  port_mask_.resize(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    std::size_t cap = 2;
-    while (cap < 2 * adj_[v].size()) cap *= 2;
-    port_mask_[v] = static_cast<std::uint32_t>(cap - 1);
-    port_offset_[v + 1] = port_offset_[v] + cap;
-  }
-  port_key_.assign(port_offset_[n], kNoNode);
-  sent_stamp_.assign(port_offset_[n], -1);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (const NodeId u : adj_[v]) {
-      std::uint32_t slot =
-          (static_cast<std::uint32_t>(u) * 2654435761u) & port_mask_[v];
-      while (port_key_[port_offset_[v] + slot] != kNoNode) {
-        slot = (slot + 1) & port_mask_[v];
+      if (static_cast<NodeId>(v) < u) {
+        edges.push_back(Edge{static_cast<NodeId>(v), u});
       }
-      port_key_[port_offset_[v] + slot] = u;
     }
   }
-}
-
-const std::vector<NodeId>& Network::neighbors(NodeId v) const {
-  DASM_CHECK(v >= 0 && v < node_count());
-  return adj_[static_cast<std::size_t>(v)];
-}
-
-bool Network::has_edge(NodeId u, NodeId v) const {
-  if (u < 0 || v < 0 || u >= node_count() || v >= node_count()) return false;
-  const auto& nb = adj_[static_cast<std::size_t>(u)];
-  return std::binary_search(nb.begin(), nb.end(), v);
-}
-
-std::size_t Network::edge_slot(NodeId from, NodeId to) const {
-  const auto sf = static_cast<std::size_t>(from);
-  const std::uint32_t mask = port_mask_[sf];
-  const std::size_t base = port_offset_[sf];
-  std::uint32_t slot = (static_cast<std::uint32_t>(to) * 2654435761u) & mask;
-  for (;;) {
-    const NodeId key = port_key_[base + slot];
-    if (key == to) return base + slot;
-    DASM_CHECK_MSG(key != kNoNode,
-                   "send along non-edge " << from << " -> " << to);
-    slot = (slot + 1) & mask;
+  auto graph = std::make_unique<const Graph>(static_cast<NodeId>(n), edges);
+  std::vector<NodeId> row;
+  for (std::size_t v = 0; v < n; ++v) {
+    row = adjacency[v];
+    std::sort(row.begin(), row.end());
+    DASM_CHECK_MSG(row == graph->neighbors(static_cast<NodeId>(v)),
+                   "adjacency of node " << v
+                                        << " is asymmetric or has duplicates");
   }
+  return graph;
+}
+
+constexpr std::size_t kNoPort = static_cast<std::size_t>(-1);
+
+// Large inboxes of equal size (a saturated K_{n,n} round) would start a
+// multiple of 4 KiB apart, on the same L1 cache sets, and the scatter's
+// concurrent write streams would evict one another. A one-line gap after
+// each inbox of at least 2 KiB staggers them at under 4% extra capacity.
+constexpr std::size_t kLargeInbox = 64;  // envelopes, 2 KiB
+constexpr std::size_t kInboxGap = 2;     // envelopes, one 64 B line
+
+// The position of `to` in the sorted, duplicate-free `row`, or kNoPort.
+// Entries are strictly increasing integers, so `to` can sit no later than
+// position to - front and no earlier than (size - 1) - (back - to). The
+// binary search runs inside that window: one entry on a gap-free row (a
+// complete graph's), a few on a row with few id gaps, the whole row on a
+// random one. It is branchless (a search for the last entry <= to), since
+// protocols send in rank order, not id order.
+inline std::size_t find_port(const std::vector<NodeId>& row, NodeId to) {
+  if (row.empty() || to < row.front() || to > row.back()) return kNoPort;
+  const std::size_t last = row.size() - 1;
+  const std::size_t hi =
+      std::min(last, static_cast<std::size_t>(to - row.front()));
+  const std::size_t lo =
+      last - std::min(last, static_cast<std::size_t>(row.back() - to));
+  const NodeId* base = row.data() + lo;
+  std::size_t len = hi - lo + 1;
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base = base[half] <= to ? base + half : base;
+    len -= half;
+  }
+  return *base == to ? static_cast<std::size_t>(base - row.data()) : kNoPort;
+}
+
+}  // namespace
+
+Network::Network(const Graph& graph, int message_bit_budget)
+    : graph_(&graph) {
+  init(message_bit_budget);
+}
+
+Network::Network(const std::vector<std::vector<NodeId>>& adjacency,
+                 int message_bit_budget)
+    : owned_graph_(graph_from_adjacency(adjacency)),
+      graph_(owned_graph_.get()) {
+  init(message_bit_budget);
+}
+
+void Network::init(int message_bit_budget) {
+  const Graph& graph = *graph_;
+  const auto n = static_cast<std::size_t>(graph.node_count());
+  bit_budget_ = message_bit_budget > 0 ? message_bit_budget
+                                       : default_bit_budget(n);
+  port_base_.resize(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    port_base_[v + 1] =
+        port_base_[v] + graph.neighbors(static_cast<NodeId>(v)).size();
+  }
+  sent_mark_.assign(port_base_[n], 0);
+  inbox_count_.assign(n, 0);
+  staged_count_.assign(n, 0);
+  inbox_end_.assign(n, 0);
+  receivers_.reserve(n);
+  staged_receivers_.reserve(n);
 }
 
 void Network::begin_round() {
   DASM_CHECK_MSG(!round_open_, "begin_round() while a round is open");
   round_open_ = true;
-  ++round_serial_;
+  if (++mark_epoch_ == 0) {
+    std::fill(sent_mark_.begin(), sent_mark_.end(), std::uint8_t{0});
+    mark_epoch_ = 1;
+  }
   round_start_messages_ = stats_.messages;
 }
 
 void Network::send(NodeId from, NodeId to, const Message& msg) {
   DASM_CHECK_MSG(round_open_, "send() outside begin_round()/end_round()");
   DASM_CHECK(from >= 0 && from < node_count());
-  // The model checks run at send time even in parallel rounds: the stamp
-  // region of `from` is written only by the pool worker that owns `from`,
-  // so no two threads touch the same slot.
-  auto& stamp = sent_stamp_[edge_slot(from, to)];
-  DASM_CHECK_MSG(stamp != round_serial_,
+  // The model checks run at send time even in parallel rounds: the marks
+  // of `from`'s ports are written only by the pool worker that owns
+  // `from`, so no two threads touch the same byte.
+  const std::size_t port = find_port(graph_->neighbors(from), to);
+  DASM_CHECK_MSG(port != kNoPort,
+                 "send along non-edge " << from << " -> " << to);
+  auto& mark = sent_mark_[port_base_[static_cast<std::size_t>(from)] + port];
+  DASM_CHECK_MSG(mark != mark_epoch_,
                  "two messages on directed edge " << from << " -> " << to
                                                   << " in one round");
-  stamp = round_serial_;
+  mark = mark_epoch_;
   const int bits = msg.encoded_bits();
   DASM_CHECK_MSG(bits <= bit_budget_,
                  "message " << to_debug_string(msg) << " is " << bits
@@ -178,10 +192,12 @@ void Network::send(NodeId from, NodeId to, const Message& msg) {
     const int worker = par::ThreadPool::current_worker();
     DASM_DCHECK(worker >= 0 && worker < lane_count_);
     lanes_[static_cast<std::size_t>(worker)].staged.push_back(
-        PendingSend{from, to, bits, msg});
+        StagedSend{from, to, msg});
     return;
   }
-  commit_send(from, to, bits, msg);
+  if (commit_send(from, to, bits, msg)) {
+    staged_.push_back(StagedSend{from, to, msg});
+  }
 }
 
 void Network::record_trace_event(NodeId from, NodeId to, const Message& msg) {
@@ -197,9 +213,9 @@ void Network::record_trace_event(NodeId from, NodeId to, const Message& msg) {
   }
 }
 
-void Network::commit_send(NodeId from, NodeId to, int bits,
+bool Network::commit_send(NodeId from, NodeId to, int bits,
                           const Message& msg) {
-  record_trace_event(from, to, msg);
+  if (trace_cap_ != 0) [[unlikely]] record_trace_event(from, to, msg);
   // messages/bits count the protocol's offered load whether or not the
   // fault layer then loses the copy; the fault counters partition its fate.
   ++stats_.messages;
@@ -208,17 +224,11 @@ void Network::commit_send(NodeId from, NodeId to, int bits,
   stats_.max_message_bits = std::max(stats_.max_message_bits, bits);
   if (fault_mode_) [[unlikely]] {
     fault_commit_send(from, to, msg);
-    return;
+    return false;
   }
-  Arena& out = arenas_[delivered_ ^ 1];
-  auto& fill = out.fill[static_cast<std::size_t>(to)];
-  if (fill == 0) out.dirty.push_back(to);
-  // The per-edge stamp above guarantees fill < deg(to), i.e. the slot
-  // range never overflows.
-  out.slots[slot_offset_[static_cast<std::size_t>(to)] +
-            static_cast<std::size_t>(fill)] = Envelope{from, msg};
-  ++fill;
+  count_receiver(to);
   ++stats_.delivered;
+  return true;
 }
 
 void Network::set_send_lanes(int lanes) {
@@ -226,31 +236,35 @@ void Network::set_send_lanes(int lanes) {
   DASM_CHECK_MSG(lanes >= 1, "send lane count must be >= 1");
   lane_count_ = lanes;
   lanes_.clear();
-  if (lanes > 1) {
-    lanes_.resize(static_cast<std::size_t>(lanes));
-    // A lane holds roughly one static chunk's share of a saturated round;
-    // imbalanced chunks grow their lane once and keep the capacity.
-    const std::size_t hint =
-        slot_offset_.back() / static_cast<std::size_t>(lanes) + 16;
-    for (SendLane& lane : lanes_) lane.staged.reserve(hint);
-  }
+  // Lanes grow to their chunk's share of the busiest round and keep it.
+  if (lanes > 1) lanes_.resize(static_cast<std::size_t>(lanes));
 }
 
 void Network::flush_lanes() {
   if (lane_count_ <= 1) return;
   DASM_CHECK_MSG(round_open_, "flush_lanes() outside a round");
-  for (SendLane& lane : lanes_) {
-    for (const PendingSend& s : lane.staged) {
-      commit_send(s.from, s.to, s.bits, s.msg);
+  // The lanes are concatenated in worker order without a copy: each
+  // lane's new records become one segment, delivered from the lane.
+  for (std::size_t w = 0; w < lanes_.size(); ++w) {
+    SendLane& lane = lanes_[w];
+    const std::size_t end = lane.staged.size();
+    for (std::size_t i = lane.committed; i < end; ++i) {
+      const StagedSend& s = lane.staged[i];
+      commit_send(s.from, s.to, s.msg.encoded_bits(), s.msg);
     }
-    lane.staged.clear();
+    if (fault_mode_) {
+      lane.staged.clear();  // the records went onto the wire
+    } else {
+      if (end > lane.committed) segments_.push_back({w, lane.committed, end});
+      lane.committed = end;
+    }
   }
 }
 
 void Network::end_round() {
   // The metrics wrapper: with no registry attached this is one branch in
   // front of the real work; with one, it times the full close (lane flush,
-  // fault-layer wire rounds, arena flip) and records the round's offered
+  // fault-layer wire rounds, delivery) and records the round's offered
   // load. Both figures cover the fault path because end_round_impl()
   // returns only after publish_fault_round().
   if (!m_end_round_us_.active()) [[likely]] {
@@ -286,19 +300,60 @@ void Network::end_round_impl() {
     publish_fault_round();
     return;
   }
-  // Retire the arena that was readable this round: reset only the slots
-  // that held messages, then flip. No container grows or shrinks here, so
-  // steady-state rounds perform no allocations.
-  Arena& retired = arenas_[delivered_];
-  for (const NodeId v : retired.dirty) {
-    retired.fill[static_cast<std::size_t>(v)] = 0;
-  }
-  retired.dirty.clear();
-  delivered_ ^= 1;
-  last_round_silent_ = arenas_[delivered_].dirty.empty();
+  deliver_staged();
   ++stats_.executed_rounds;
   ++stats_.scheduled_rounds;
   if (round_hook_) round_hook_(stats_);
+}
+
+void Network::deliver_staged() {
+  // Counting sort by receiver, over this round's receivers only
+  // (commit_send() already counted them): retire the readable inboxes'
+  // counts, adopt the staged counts, lay the inboxes out back to back in
+  // first-receipt order, then scatter in commit order — which keeps every
+  // inbox in send-call order. Every buffer keeps its capacity, so once
+  // they have grown to the busiest round's traffic, rounds allocate
+  // nothing.
+  for (const NodeId v : receivers_) {
+    inbox_count_[static_cast<std::size_t>(v)] = 0;
+  }
+  receivers_.clear();
+  inbox_count_.swap(staged_count_);
+  receivers_.swap(staged_receivers_);
+  std::size_t offset = 0;
+  for (const NodeId v : receivers_) {
+    const auto sv = static_cast<std::size_t>(v);
+    inbox_end_[sv] = offset;  // the scatter below advances it to the end
+    const std::size_t count = inbox_count_[sv];
+    offset += count + (count >= kLargeInbox ? kInboxGap : 0);
+  }
+  if (delivered_.size() < offset) {
+    if (delivered_.capacity() < offset) {
+      // The old inboxes are dead: free them before allocating the larger
+      // buffer, whose pages stay untouched until a round fills them.
+      const std::size_t capacity =
+          std::max(offset, 2 * delivered_.capacity());
+      delivered_ = std::vector<Envelope>();
+      delivered_.reserve(capacity);
+    }
+    delivered_.resize(offset);
+  }
+  auto scatter = [this](const StagedSend& s) {
+    delivered_[inbox_end_[static_cast<std::size_t>(s.to)]++] =
+        Envelope{s.from, s.msg};
+  };
+  for (const StagedSend& s : staged_) scatter(s);
+  for (const LaneSegment& seg : segments_) {
+    const std::vector<StagedSend>& records = lanes_[seg.lane].staged;
+    for (std::size_t i = seg.begin; i < seg.end; ++i) scatter(records[i]);
+  }
+  staged_.clear();
+  segments_.clear();
+  for (SendLane& lane : lanes_) {
+    lane.staged.clear();
+    lane.committed = 0;
+  }
+  last_round_silent_ = receivers_.empty();
 }
 
 void Network::set_fault_plan(const FaultPlan& plan) {
@@ -367,13 +422,10 @@ void Network::refresh_fault_mode() {
     return;
   }
   fault_mode_ = true;
-  const auto n = static_cast<std::size_t>(node_count());
   // Dues span [wire_round, wire_round + max(1, max_delay)] (duplicates and
   // acks arrive at least one round late), so this size keeps ring slots
   // collision-free.
   ring_.resize(static_cast<std::size_t>(std::max(plan_.max_delay, 1)) + 2);
-  f_staging_.resize(n);
-  f_front_.resize(n);
 }
 
 bool Network::node_crashed(NodeId v, std::int64_t wire_round) const {
@@ -558,47 +610,37 @@ void Network::deliver_copy(const WireCopy& copy, std::int64_t wire_round) {
     } else {
       it->second.delivered = true;
       --unresolved_payloads_;
-      stage_arrival(copy.to, copy.ordinal, Envelope{copy.from, copy.msg});
+      stage_arrival(copy);
       ++stats_.delivered;
     }
     transmit_copy(copy.to, copy.from, copy.ordinal, copy.payload_id,
                   /*is_ack=*/true, /*may_duplicate=*/false, copy.msg);
     return;
   }
-  stage_arrival(copy.to, copy.ordinal, Envelope{copy.from, copy.msg});
+  stage_arrival(copy);
   ++stats_.delivered;
 }
 
-void Network::stage_arrival(NodeId to, std::int64_t ordinal,
-                            const Envelope& env) {
-  auto& staged = f_staging_[static_cast<std::size_t>(to)];
-  if (staged.empty()) f_staging_dirty_.push_back(to);
-  staged.push_back(StagedArrival{ordinal, env});
+void Network::stage_arrival(const WireCopy& copy) {
+  f_arrivals_.push_back(
+      StagedArrival{copy.ordinal, StagedSend{copy.from, copy.to, copy.msg}});
 }
 
 void Network::publish_fault_round() {
-  for (const NodeId v : f_front_dirty_) {
-    f_front_[static_cast<std::size_t>(v)].clear();
+  // Commit-ordinal order: a reliable faulty execution reads each inbox in
+  // exactly the fault-free order. The sort is stable, so duplicates of one
+  // send (which share its ordinal) keep their arrival order; the counting
+  // sort then splits the sequence by receiver, stably.
+  std::stable_sort(f_arrivals_.begin(), f_arrivals_.end(),
+                   [](const StagedArrival& a, const StagedArrival& b) {
+                     return a.ordinal < b.ordinal;
+                   });
+  for (const StagedArrival& a : f_arrivals_) {
+    staged_.push_back(a.rec);
+    count_receiver(a.rec.to);
   }
-  f_front_dirty_.clear();
-  std::int64_t published = 0;
-  for (const NodeId v : f_staging_dirty_) {
-    auto& staged = f_staging_[static_cast<std::size_t>(v)];
-    // Commit-ordinal order: a reliable faulty execution reads each inbox
-    // in exactly the fault-free order (duplicates of one send share its
-    // ordinal; the stable sort keeps their arrival order).
-    std::stable_sort(staged.begin(), staged.end(),
-                     [](const StagedArrival& a, const StagedArrival& b) {
-                       return a.ordinal < b.ordinal;
-                     });
-    auto& front = f_front_[static_cast<std::size_t>(v)];
-    for (const StagedArrival& s : staged) front.push_back(s.env);
-    published += static_cast<std::int64_t>(staged.size());
-    staged.clear();
-    f_front_dirty_.push_back(v);
-  }
-  f_staging_dirty_.clear();
-  last_round_silent_ = published == 0;
+  f_arrivals_.clear();
+  deliver_staged();
 }
 
 void Network::set_round_hook(std::function<void(const NetStats&)> hook) {
@@ -619,14 +661,20 @@ void Network::set_metrics(obs::MetricsRegistry* registry) {
 
 InboxView Network::inbox(NodeId v) const {
   DASM_CHECK(v >= 0 && v < node_count());
-  if (fault_mode_) [[unlikely]] {
-    const auto& box = f_front_[static_cast<std::size_t>(v)];
-    return InboxView{box.data(), box.size()};
-  }
-  const Arena& in = arenas_[delivered_];
+  // A node outside this round's receivers has count 0 and a stale end,
+  // which never exceeds delivered_.size() (the buffer never shrinks).
   const auto sv = static_cast<std::size_t>(v);
-  return InboxView{in.slots.data() + slot_offset_[sv],
-                   static_cast<std::size_t>(in.fill[sv])};
+  const std::size_t count = inbox_count_[sv];
+  return InboxView{delivered_.data() + (inbox_end_[sv] - count), count};
+}
+
+std::size_t Network::delivery_buffer_bytes() const {
+  std::size_t bytes = staged_.capacity() * sizeof(StagedSend) +
+                      delivered_.capacity() * sizeof(Envelope);
+  for (const SendLane& lane : lanes_) {
+    bytes += lane.staged.capacity() * sizeof(StagedSend);
+  }
+  return bytes;
 }
 
 void Network::charge_scheduled_rounds(std::int64_t rounds) {

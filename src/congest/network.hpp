@@ -17,19 +17,24 @@
 // via charge_scheduled_rounds(), keeping the "paper schedule" accounting
 // distinct from the "executed" accounting (see DESIGN.md §2.3).
 //
-// Delivery is zero-allocation in steady state: because the model admits at
-// most one message per directed edge per round, every node's inbox fits in
-// a slot range of size deg(v). Messages live in two flat CSR-style arenas
-// (one contiguous Envelope buffer per direction of the double buffer, plus
-// a shared per-node offset table) that are sized once in the constructor;
-// end_round() flips the buffers by index and resets only the slots that
-// were actually used. inbox(v) hands out a view into the current arena.
+// The communication graph is a borrowed dasm::Graph, whose rows are
+// already sorted, duplicate-free and symmetric; the network keeps no copy
+// of the edge set. Delivery memory scales with traffic, not with edges:
+// send() appends a (from, to, msg) record to a staging buffer (in a
+// pooled round, to the sending worker's lane), and end_round()
+// counting-sorts the round's records by receiver into a delivered
+// Envelope buffer, touching only this round's receivers. The
+// sort is stable, so every inbox is one contiguous run in send-call order.
+// Both buffers keep their capacity across rounds, so once they have grown
+// to the largest round's traffic, rounds perform no allocations. Per
+// directed edge the network stores one byte: the send guard's round mark.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -37,6 +42,7 @@
 #include "congest/fault.hpp"
 #include "congest/message.hpp"
 #include "congest/types.hpp"
+#include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -50,7 +56,7 @@ struct Envelope {
   friend bool operator==(const Envelope&, const Envelope&) = default;
 };
 
-/// A node's inbox for the current round: a view into the delivery arena,
+/// A node's inbox for the current round: a view into the delivered buffer,
 /// valid until the next end_round() (or the Network's destruction).
 using InboxView = std::span<const Envelope>;
 
@@ -120,16 +126,26 @@ struct NetStats {
 
 class Network {
  public:
-  /// Builds a network over the given undirected adjacency lists.
-  /// `adjacency[v]` lists the neighbours of v; the relation must be
-  /// symmetric. `message_bit_budget` caps a single message's encoded size
-  /// (pass 0 to derive the standard CONGEST budget 8 * ceil(log2(n + 2))).
-  explicit Network(std::vector<std::vector<NodeId>> adjacency,
+  /// Builds a network over `graph`, which it borrows: the graph must
+  /// outlive the network. Graph rows are sorted, duplicate-free and
+  /// symmetric by construction, so nothing is copied or re-validated.
+  /// `message_bit_budget` caps a single message's encoded size (pass 0 to
+  /// derive the standard CONGEST budget 8 * ceil(log2(n + 2))).
+  explicit Network(const Graph& graph, int message_bit_budget = 0);
+  Network(const Graph&& graph, int message_bit_budget = 0) = delete;
+
+  /// Builds a network over undirected adjacency lists: `adjacency[v]`
+  /// lists the neighbours of v in any order. Rejects out-of-range ids,
+  /// self-loops, duplicates and asymmetric lists, then owns the validated
+  /// Graph it built.
+  explicit Network(const std::vector<std::vector<NodeId>>& adjacency,
                    int message_bit_budget = 0);
 
-  NodeId node_count() const { return static_cast<NodeId>(adj_.size()); }
-  const std::vector<NodeId>& neighbors(NodeId v) const;
-  bool has_edge(NodeId u, NodeId v) const;
+  NodeId node_count() const { return graph_->node_count(); }
+  const std::vector<NodeId>& neighbors(NodeId v) const {
+    return graph_->neighbors(v);
+  }
+  bool has_edge(NodeId u, NodeId v) const { return graph_->has_edge(u, v); }
   int message_bit_budget() const { return bit_budget_; }
 
   /// Starts a communication round. Must alternate with end_round().
@@ -140,8 +156,9 @@ class Network {
   /// message per directed edge per round, size within budget.
   void send(NodeId from, NodeId to, const Message& msg);
 
-  /// Closes the round: delivers this round's messages into the inboxes
-  /// read during the next round and updates statistics. Allocation-free.
+  /// Closes the round: counting-sorts this round's messages by receiver
+  /// into the inboxes read during the next round and updates statistics.
+  /// Allocation-free once the buffers have grown to the round's traffic.
   /// If send lanes are active, any still-staged sends are flushed first.
   void end_round();
 
@@ -162,8 +179,9 @@ class Network {
   void set_send_lanes(int lanes);
   int send_lanes() const { return lane_count_; }
 
-  /// Commits every staged send into the delivery arena, stats, and trace,
-  /// in lane order, and empties the lanes. end_round() calls this
+  /// Commits every lane's new sends (stats, trace, receiver counts) in
+  /// lane order; the records stay in their lanes, one segment per lane
+  /// and flush, until end_round() delivers them. end_round() calls this
   /// automatically; engines call it between sub-loops of a single round
   /// whose sequential send orders must not interleave (e.g. the men's
   /// loop before the women's loop of an MM round). No-op when lanes are
@@ -177,8 +195,7 @@ class Network {
   /// keyed on (plan seed, wire round, edge, copy id), so the same seed and
   /// plan reproduce byte-identical inboxes, NetStats, and traces at every
   /// thread count. Only callable between rounds. Passing a default
-  /// (inactive) plan with no reliability sublayer restores the
-  /// zero-allocation fast path.
+  /// (inactive) plan with no reliability sublayer restores the fast path.
   void set_fault_plan(const FaultPlan& plan);
   const FaultPlan& fault_plan() const { return plan_; }
   bool fault_mode() const { return fault_mode_; }
@@ -222,8 +239,14 @@ class Network {
 
   const NetStats& stats() const { return stats_; }
 
+  /// Heap bytes held by the delivery buffers: staging, delivered inboxes
+  /// and send lanes. They grow to the busiest round's traffic and keep
+  /// that capacity; the per-node and per-port tables are not included.
+  std::size_t delivery_buffer_bytes() const;
+
   /// Wall-clock metrics (src/obs/metrics.hpp, DESIGN.md §11). Registers
-  /// `time.net.end_round_us` (flush/commit latency per round) and
+  /// `time.net.end_round_us` (lane flush plus delivery, i.e. the counting
+  /// sort, per round) and
   /// `net.round_messages` (offered load per round — logical, hence
   /// byte-identical at any thread count) in `registry` and records them
   /// on every subsequent end_round(). Pass nullptr to detach; when
@@ -250,28 +273,26 @@ class Network {
   std::int64_t dropped_trace_events() const { return trace_dropped_; }
 
  private:
-  // One direction of the double buffer: a flat slot array indexed by the
-  // shared CSR offsets, the per-node fill counts, and the list of nodes
-  // with at least one filled slot (so resets touch only what was used).
-  struct Arena {
-    std::vector<Envelope> slots;
-    std::vector<NodeId> fill;
-    std::vector<NodeId> dirty;
-  };
-
-  // A send staged by one pool worker during a parallel round. The bit
-  // size is computed (and budget-checked) at send time so the commit loop
-  // stays a straight-line copy into the arena.
-  struct PendingSend {
+  // A committed send awaiting delivery, or (in fault mode) an arrival
+  // awaiting publication. Pool workers stage the same record in their
+  // lanes; the bit size is recomputed when a lane is committed.
+  struct StagedSend {
     NodeId from;
     NodeId to;
-    int bits;
     Message msg;
   };
   // Cache-line aligned so two workers pushing into adjacent lanes never
-  // contend on the vector headers.
+  // contend on the vector headers. Records before `committed` have been
+  // committed by flush_lanes() and stay in place until delivery.
   struct alignas(64) SendLane {
-    std::vector<PendingSend> staged;
+    std::vector<StagedSend> staged;
+    std::size_t committed = 0;
+  };
+  // Records [begin, end) of one lane, committed by one flush_lanes().
+  struct LaneSegment {
+    std::size_t lane;
+    std::size_t begin;
+    std::size_t end;
   };
 
   // ---- Fault-injection state (DESIGN.md §8) ----
@@ -303,23 +324,36 @@ class Network {
   // ordinal of its originating send for the publish-time sort.
   struct StagedArrival {
     std::int64_t ordinal;
-    Envelope env;
+    StagedSend rec;
   };
 
-  std::vector<std::vector<NodeId>> adj_;  // sorted neighbour lists
-  std::vector<std::size_t> slot_offset_;  // CSR offsets, size n + 1
-  std::array<Arena, 2> arenas_;
-  int delivered_ = 0;  // arenas_[delivered_] is readable; the other fills
-  // Per-node open-addressing set of neighbours, flattened into shared
-  // arrays (power-of-two region per node, linear probing): O(1) edge
-  // lookup on the send path instead of a binary search. The directed-edge
-  // send guard lives in the same layout — sent_stamp_ is indexed by probe
-  // slot and holds the id of the round that last used the edge.
-  std::vector<NodeId> port_key_;         // neighbour id, kNoNode = empty
-  std::vector<std::size_t> port_offset_; // region start per node
-  std::vector<std::uint32_t> port_mask_; // region size - 1 per node
-  std::vector<std::int64_t> sent_stamp_; // parallel to port_key_
-  std::int64_t round_serial_ = 0;
+  std::unique_ptr<const Graph> owned_graph_;  // list constructor only
+  const Graph* graph_;
+  // Directed-edge index of each node's first port, size n + 1: the port of
+  // (from, to) is port_base_[from] + the position of `to` in from's row.
+  std::vector<std::size_t> port_base_;
+  // The send guard: sent_mark_[port] holds the epoch of the round that
+  // last used the directed edge. Epochs run 1..255; when they wrap,
+  // begin_round() zeroes every mark, so the guard is exact across any
+  // number of rounds at one byte per directed edge.
+  std::vector<std::uint8_t> sent_mark_;
+  std::uint8_t mark_epoch_ = 0;
+  // This round's committed sends in commit order: direct sends in
+  // staged_, pooled sends as lane segments in flush order (a round uses
+  // one or the other), with per-receiver counts and the receivers in
+  // first-receipt order.
+  std::vector<StagedSend> staged_;
+  std::vector<LaneSegment> segments_;
+  std::vector<std::uint32_t> staged_count_;
+  std::vector<NodeId> staged_receivers_;
+  // The readable inboxes: inbox v is the inbox_count_[v] envelopes ending
+  // at delivered_[inbox_end_[v]]. The vector's size is a high-water mark;
+  // receivers_ lists the nodes with a nonempty inbox, so a round resets
+  // only those counts.
+  std::vector<Envelope> delivered_;
+  std::vector<std::uint32_t> inbox_count_;
+  std::vector<std::size_t> inbox_end_;
+  std::vector<NodeId> receivers_;
   std::vector<SendLane> lanes_;
   int lane_count_ = 1;
   bool round_open_ = false;
@@ -341,15 +375,16 @@ class Network {
   std::size_t trace_size_ = 0;
   std::int64_t trace_dropped_ = 0;
 
-  // Fault mode replaces the fixed CSR arenas with growable per-node
-  // inboxes: delays, duplicates, and retransmissions can exceed the
-  // deg(v) slot bound the arenas rely on. f_staging_ accumulates
-  // (arrival) envelopes per receiver over the wire rounds of one protocol
-  // round; publish_fault_round() sorts each by ordinal into f_front_,
-  // which inbox() serves. The ring holds in-flight copies indexed by
-  // due-wire-round modulo its size (sized past max_delay so slots never
-  // collide). Fault mode allocates; the fault-free fast path in
-  // commit_send()/end_round() costs one predicted branch.
+  // In fault mode, sends go onto the wire ring instead of the staging
+  // buffer. f_arrivals_ accumulates the copies that reach a receiver over
+  // the wire rounds of one protocol round; publish_fault_round() sorts
+  // them by ordinal and delivers them through the same counting sort as
+  // the fast path (delays, duplicates and retransmissions may put more
+  // than deg(v) envelopes into one inbox; the delivered buffer does not
+  // care). The ring holds in-flight copies indexed by due-wire-round
+  // modulo its size (sized past max_delay so slots never collide). Fault
+  // mode allocates; the fault-free fast path in commit_send()/end_round()
+  // costs one predicted branch.
   bool fault_mode_ = false;
   FaultPlan plan_;
   std::uint64_t drop_threshold_ = 0;
@@ -359,10 +394,7 @@ class Network {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> edge_drop_override_;
   std::vector<Round> crash_round_;  // per node; empty = no crashes
   std::vector<std::vector<WireCopy>> ring_;
-  std::vector<std::vector<StagedArrival>> f_staging_;
-  std::vector<std::vector<Envelope>> f_front_;
-  std::vector<NodeId> f_staging_dirty_;
-  std::vector<NodeId> f_front_dirty_;
+  std::vector<StagedArrival> f_arrivals_;
   // Sequenced payloads by id; std::map so the retransmit scan iterates in
   // deterministic id (= send) order.
   std::map<std::int64_t, Payload> payloads_;
@@ -374,9 +406,20 @@ class Network {
   int retransmit_after_ = 0;
   int max_retransmits_ = 64;
 
-  std::size_t edge_slot(NodeId from, NodeId to) const;
+  // Sizes the per-node and per-port tables for graph_.
+  void init(int message_bit_budget);
   void end_round_impl();
-  void commit_send(NodeId from, NodeId to, int bits, const Message& msg);
+  void count_receiver(NodeId to) {
+    if (staged_count_[static_cast<std::size_t>(to)]++ == 0) {
+      staged_receivers_.push_back(to);
+    }
+  }
+  // Counting-sorts staged_ and segments_ by receiver into delivered_ and
+  // empties them and the lanes.
+  void deliver_staged();
+  // Traces and counts a send; returns true when it is to be delivered by
+  // the counting sort (false in fault mode, where it went onto the wire).
+  bool commit_send(NodeId from, NodeId to, int bits, const Message& msg);
   void record_trace_event(NodeId from, NodeId to, const Message& msg);
   bool node_crashed(NodeId v, std::int64_t wire_round) const;
   std::uint64_t drop_threshold_for(NodeId from, NodeId to) const;
@@ -391,7 +434,7 @@ class Network {
   // duplicate filtering), then the round clock tick and obs hook.
   void run_wire_round();
   void deliver_copy(const WireCopy& copy, std::int64_t wire_round);
-  void stage_arrival(NodeId to, std::int64_t ordinal, const Envelope& env);
+  void stage_arrival(const WireCopy& copy);
   void publish_fault_round();
 };
 

@@ -13,7 +13,7 @@ AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
       params_(params),
       sched_(resolve_schedule(params,
                               std::max(inst.n_men(), inst.n_women()))),
-      net_(inst.graph().graph().adjacency()),
+      net_(inst.graph().graph()),
       rec_(params.obs_sink) {
   const auto& bg = inst.graph();
   auto make_mm = [&](NodeId node_id) {

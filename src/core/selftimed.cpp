@@ -104,7 +104,7 @@ SelfTimedResult run_selftimed_asm(const Instance& inst,
   const Schedule sched = resolve_schedule(params, n);
   const PhaseScript script(sched);
   const auto& bg = inst.graph();
-  Network net(bg.graph().adjacency());
+  Network net(bg.graph());
 
   std::vector<SelfTimedMan> men;
   men.reserve(static_cast<std::size_t>(inst.n_men()));

@@ -28,11 +28,6 @@ Graph::Graph(NodeId n, const std::vector<Edge>& edges) : Graph(n) {
   edge_count_ = static_cast<std::int64_t>(edges.size());
 }
 
-const std::vector<NodeId>& Graph::neighbors(NodeId v) const {
-  DASM_CHECK(v >= 0 && v < node_count());
-  return adj_[static_cast<std::size_t>(v)];
-}
-
 NodeId Graph::degree(NodeId v) const {
   return static_cast<NodeId>(neighbors(v).size());
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "congest/types.hpp"
+#include "util/check.hpp"
 
 namespace dasm {
 
@@ -34,15 +35,17 @@ class Graph {
   NodeId node_count() const { return static_cast<NodeId>(adj_.size()); }
   std::int64_t edge_count() const { return edge_count_; }
 
-  const std::vector<NodeId>& neighbors(NodeId v) const;
+  /// Sorted neighbour row of v. Inline: the CONGEST simulator resolves
+  /// every send's port through it.
+  const std::vector<NodeId>& neighbors(NodeId v) const {
+    DASM_CHECK(v >= 0 && v < node_count());
+    return adj_[static_cast<std::size_t>(v)];
+  }
   NodeId degree(NodeId v) const;
   bool has_edge(NodeId u, NodeId v) const;
 
   /// All edges, normalized (u < v) and sorted.
   std::vector<Edge> edges() const;
-
-  /// Adjacency lists, e.g. to construct a congest::Network.
-  const std::vector<std::vector<NodeId>>& adjacency() const { return adj_; }
 
   /// Maximum vertex degree (0 for the empty graph).
   NodeId max_degree() const;

@@ -48,7 +48,7 @@ int cole_vishkin_iterations(NodeId n) {
 
 RunResult run_color_matching(const Graph& g, bool trim_empty_classes) {
   const NodeId n = g.node_count();
-  Network net(g.adjacency());
+  Network net(g);
   RunResult result;
   result.matching = Matching(n);
 

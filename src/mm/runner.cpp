@@ -52,7 +52,7 @@ RunResult run_maximal_matching(const Graph& g,
     }
   }
 
-  Network net(g.adjacency());
+  Network net(g);
   DASM_CHECK_MSG(config.threads >= 0, "RunConfig::threads must be >= 0");
   const int threads =
       config.threads == 0 ? par::hardware_threads() : config.threads;

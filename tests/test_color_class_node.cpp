@@ -22,7 +22,7 @@ using testing::random_graph;
 
 // Lockstep driver mirroring mm::run_maximal_matching for a custom node.
 mm::RunResult drive(const Graph& g, NodeId delta_bound) {
-  Network net(g.adjacency());
+  Network net(g);
   const NodeId n = g.node_count();
   std::vector<mm::ColorClassNode> nodes;
   nodes.reserve(static_cast<std::size_t>(n));

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "par/thread_pool.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -14,6 +15,33 @@ namespace {
 
 std::vector<std::vector<NodeId>> triangle() {
   return {{1, 2}, {0, 2}, {0, 1}};
+}
+
+std::vector<std::vector<NodeId>> complete(NodeId n) {
+  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(n));
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (u != v) adj[static_cast<std::size_t>(u)].push_back(v);
+    }
+  }
+  return adj;
+}
+
+std::vector<std::vector<NodeId>> complete_bipartite(NodeId half) {
+  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(2 * half));
+  for (NodeId u = 0; u < half; ++u) {
+    for (NodeId v = 0; v < half; ++v) {
+      adj[static_cast<std::size_t>(u)].push_back(half + v);
+      adj[static_cast<std::size_t>(half + v)].push_back(u);
+    }
+  }
+  return adj;
+}
+
+std::vector<NodeId> senders(InboxView inbox) {
+  std::vector<NodeId> out;
+  for (const Envelope& e : inbox) out.push_back(e.from);
+  return out;
 }
 
 TEST(MessageTest, EncodedBitsGrowWithPayload) {
@@ -146,6 +174,186 @@ TEST(NetworkTest, InboxPreservesSendOrder) {
   EXPECT_EQ(net.inbox(2)[1].from, 1);
 }
 
+TEST(NetworkTest, InterleavedSendersKeepSendCallOrderPerInbox) {
+  // Sends to one receiver interleave with sends to others, and its
+  // senders call in non-id order: the counting sort by receiver must keep
+  // each inbox in send-call order.
+  Network net(complete(5));
+  const std::vector<std::pair<NodeId, NodeId>> script{
+      {3, 2}, {0, 4}, {4, 2}, {1, 0}, {0, 2}, {2, 4}, {1, 2}, {3, 4}};
+  net.begin_round();
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    net.send(script[i].first, script[i].second,
+             Message{MsgType::kPropose, static_cast<std::int64_t>(i)});
+  }
+  net.end_round();
+  EXPECT_EQ(senders(net.inbox(2)), (std::vector<NodeId>{3, 4, 0, 1}));
+  EXPECT_EQ(senders(net.inbox(4)), (std::vector<NodeId>{0, 2, 3}));
+  EXPECT_EQ(senders(net.inbox(0)), (std::vector<NodeId>{1}));
+  EXPECT_TRUE(net.inbox(1).empty());
+  EXPECT_TRUE(net.inbox(3).empty());
+  std::vector<std::int64_t> payloads;
+  for (const Envelope& e : net.inbox(2)) payloads.push_back(e.msg.a);
+  EXPECT_EQ(payloads, (std::vector<std::int64_t>{0, 2, 4, 6}));
+}
+
+TEST(NetworkTest, PooledInterleavedSendsMatchSerialInboxes) {
+  // Every node sends to a round-dependent subset of the others, in a
+  // scrambled receiver order, so each inbox collects sends from every
+  // worker's lane. Inboxes must equal a serial execution's, slot for slot.
+  const NodeId n = 16;
+  const int threads = 4;
+  Network serial(complete(n));
+  Network laned(complete(n));
+  laned.set_send_lanes(threads);
+  par::ThreadPool pool(threads);
+  auto script = [&](Network& net, NodeId v, int round) {
+    for (NodeId k = 0; k < n; ++k) {
+      // 5 is coprime to 16, so the receivers of one sender are distinct.
+      const NodeId to = (v * 7 + k * 5 + round) % n;
+      if (to == v || (k + round + v) % 3 == 0) continue;
+      net.send(v, to, Message{MsgType::kPropose, v * 100 + k, round});
+    }
+  };
+  for (int round = 0; round < 3; ++round) {
+    serial.begin_round();
+    for (NodeId v = 0; v < n; ++v) script(serial, v, round);
+    serial.end_round();
+    laned.begin_round();
+    pool.parallel_for(0, n, [&](std::int64_t v) {
+      script(laned, static_cast<NodeId>(v), round);
+    });
+    laned.end_round();
+    for (NodeId v = 0; v < n; ++v) {
+      const InboxView want = serial.inbox(v);
+      const InboxView got = laned.inbox(v);
+      ASSERT_EQ(got.size(), want.size()) << "round " << round << " node " << v;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], want[i]) << "round " << round << " node " << v;
+      }
+    }
+  }
+  EXPECT_EQ(laned.stats(), serial.stats());
+}
+
+TEST(NetworkTest, DuplicateSendThrowsAtTheCallAfterManyRounds) {
+  // The send guard is one byte per directed edge. A byte that wrapped
+  // without being cleared would alias a send one period back, so every
+  // directed edge is used in round 0 and three of them again in rounds
+  // 255, 256 and 257 (periods of 255, 256 and 257 rounds); the duplicate
+  // is tried in round 300. Direct sends and lanes alike.
+  const std::vector<std::pair<NodeId, NodeId>> edges{
+      {0, 1}, {1, 0}, {0, 2}, {2, 0}, {1, 2}, {2, 1}};
+  for (const int lanes : {1, 2}) {
+    Network net(triangle());
+    net.set_send_lanes(lanes);
+    par::ThreadPool pool(2);
+    auto on_worker = [&](auto&& f) {
+      if (lanes == 1) {
+        f();
+      } else {
+        pool.parallel_for(0, 1, [&](std::int64_t) { f(); });
+      }
+    };
+    std::int64_t sent = 0;
+    for (int round = 0; round < 300; ++round) {
+      net.begin_round();
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        if (round == 0 || (i < 3 && round == 255 + static_cast<int>(i))) {
+          EXPECT_NO_THROW(on_worker([&] {
+            net.send(edges[i].first, edges[i].second,
+                     Message{MsgType::kPropose, round});
+          })) << "lanes " << lanes << " round " << round << " edge " << i;
+          ++sent;
+        }
+      }
+      net.end_round();
+    }
+    net.begin_round();
+    on_worker([&] { net.send(2, 1, Message{MsgType::kPropose, 300}); });
+    EXPECT_THROW(
+        on_worker([&] { net.send(2, 1, Message{MsgType::kReject}); }),
+        CheckError)
+        << "lanes " << lanes;
+    net.end_round();
+    ASSERT_EQ(net.inbox(1).size(), 1u);
+    EXPECT_EQ(net.inbox(1)[0], (Envelope{2, Message{MsgType::kPropose, 300}}));
+    // The rejected send was never committed.
+    EXPECT_EQ(net.stats().messages, sent + 1);
+  }
+}
+
+TEST(NetworkTest, SaturatedSilentAndSingleRoundsReuseBuffers) {
+  // A saturating round on K_32,32 (every directed edge carries a message),
+  // a silent round, and a one-message round, three times over: each must
+  // deliver exactly its own traffic, and after the first saturating round
+  // the delivery buffers never grow again.
+  const NodeId half = 32;
+  const auto adj = complete_bipartite(half);
+  Network net(adj);
+  auto saturate = [&](int round) {
+    net.begin_round();
+    for (NodeId u = 0; u < 2 * half; ++u) {
+      for (const NodeId v : net.neighbors(u)) {
+        net.send(u, v, Message{MsgType::kPropose, u, round});
+      }
+    }
+    net.end_round();
+    EXPECT_FALSE(net.last_round_was_silent());
+    for (NodeId v = 0; v < 2 * half; ++v) {
+      const InboxView box = net.inbox(v);
+      ASSERT_EQ(senders(box), net.neighbors(v)) << "node " << v;
+      for (const Envelope& e : box) {
+        EXPECT_EQ(e.msg, (Message{MsgType::kPropose, e.from, round}));
+      }
+    }
+  };
+  saturate(0);
+  const std::size_t warm = net.delivery_buffer_bytes();
+  EXPECT_GT(warm, 0u);
+  for (int cycle = 1; cycle <= 3; ++cycle) {
+    saturate(cycle);
+    net.begin_round();
+    net.end_round();
+    EXPECT_TRUE(net.last_round_was_silent());
+    for (NodeId v = 0; v < 2 * half; ++v) EXPECT_TRUE(net.inbox(v).empty());
+    net.begin_round();
+    net.send(5, half + 7, Message{MsgType::kAccept, cycle});
+    net.end_round();
+    EXPECT_FALSE(net.last_round_was_silent());
+    for (NodeId v = 0; v < 2 * half; ++v) {
+      if (v == half + 7) {
+        ASSERT_EQ(net.inbox(v).size(), 1u);
+        EXPECT_EQ(net.inbox(v)[0], (Envelope{5, Message{MsgType::kAccept,
+                                                        cycle}}));
+      } else {
+        EXPECT_TRUE(net.inbox(v).empty()) << "node " << v;
+      }
+    }
+  }
+  EXPECT_EQ(net.delivery_buffer_bytes(), warm);
+}
+
+TEST(NetworkTest, GraphConstructorBorrowsTheGraphRows) {
+  const Graph g(4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});
+  Network net(g);
+  EXPECT_EQ(net.node_count(), 4);
+  for (NodeId v = 0; v < 4; ++v) EXPECT_EQ(&net.neighbors(v), &g.neighbors(v));
+  EXPECT_TRUE(net.has_edge(0, 3));
+  EXPECT_FALSE(net.has_edge(0, 2));
+  net.begin_round();
+  net.send(3, 0, Message{MsgType::kPropose});
+  EXPECT_THROW(net.send(0, 2, Message{MsgType::kPropose}), CheckError);
+  net.end_round();
+  EXPECT_EQ(senders(net.inbox(0)), (std::vector<NodeId>{3}));
+}
+
+TEST(NetworkTest, ListConstructorSortsRows) {
+  Network net({{2, 1}, {2, 0}, {1, 0}});
+  EXPECT_EQ(net.neighbors(0), (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(net.neighbors(2), (std::vector<NodeId>{0, 1}));
+}
+
 TEST(NetworkTest, HighVolumeStress) {
   // A complete bipartite 40+40 network for 50 all-pairs rounds: 160k
   // messages with the per-edge discipline enforced throughout.
@@ -230,7 +438,7 @@ TEST(NetworkTest, TraceFiveTimesOverCapKeepsNewest) {
 }
 
 TEST(NetworkTest, StatsAndInboxesMatchReferenceModelOnRandomSchedule) {
-  // Drives the arena engine with a randomized message schedule and checks
+  // Drives the network with a randomized message schedule and checks
   // it against a straightforward vector-of-vectors reference model:
   // inbox contents (values and order), last_round_was_silent(), and every
   // NetStats field must agree at each round.
@@ -315,7 +523,7 @@ TEST(NetworkTest, SilentRoundFlag) {
 }
 
 TEST(NetworkTest, FaultFreeAccountingDeliveredEqualsSent) {
-  // On the reliable arena path every committed send is delivered the same
+  // On the fault-free path every committed send is delivered the same
   // round; the fault-layer counters must reflect that exactly.
   Network net(triangle());
   for (int round = 0; round < 3; ++round) {
@@ -370,6 +578,11 @@ TEST(NetworkTest, LossOnlyFaultsConserveSentEqualsDeliveredPlusDropped) {
 TEST(NetworkTest, RejectsAsymmetricAdjacency) {
   const std::vector<std::vector<NodeId>> asymmetric{{1}, {}};
   EXPECT_THROW((void)Network(asymmetric), CheckError);
+  // Listed only from the higher endpoint.
+  const std::vector<std::vector<NodeId>> upper_only{{}, {0}};
+  EXPECT_THROW((void)Network(upper_only), CheckError);
+  const std::vector<std::vector<NodeId>> one_missing{{1, 2}, {0}, {0, 1}};
+  EXPECT_THROW((void)Network(one_missing), CheckError);
 }
 
 TEST(NetworkTest, RejectsSelfLoopAndDuplicates) {
@@ -377,6 +590,12 @@ TEST(NetworkTest, RejectsSelfLoopAndDuplicates) {
   EXPECT_THROW((void)Network(self_loop), CheckError);
   const std::vector<std::vector<NodeId>> duplicate{{1, 1}, {0}};
   EXPECT_THROW((void)Network(duplicate), CheckError);
+  const std::vector<std::vector<NodeId>> upper_duplicate{{1}, {0, 0}};
+  EXPECT_THROW((void)Network(upper_duplicate), CheckError);
+  const std::vector<std::vector<NodeId>> out_of_range{{1, 5}, {0}};
+  EXPECT_THROW((void)Network(out_of_range), CheckError);
+  const std::vector<std::vector<NodeId>> negative{{-1}, {}};
+  EXPECT_THROW((void)Network(negative), CheckError);
 }
 
 TEST(NetStatsTest, PlusEqualsMergesCounters) {
