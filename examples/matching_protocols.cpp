@@ -4,11 +4,14 @@
 // the first rounds of the Israeli–Itai execution message by message —
 // a view of what actually crosses the wire in Algorithm 4.
 //
+// All four rows run through mm::run_maximal_matching. The color-class row
+// executes its fixed schedule class pass by class pass until every node
+// is quiescent, so its rounds count the passes over empty classes too.
+//
 //   matching_protocols [--n 64] [--d 6] [--seed 2] [--trace-rounds 2]
 #include <iostream>
 
 #include "gen/generators.hpp"
-#include "mm/color_matching.hpp"
 #include "mm/runner.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -42,13 +45,12 @@ int main(int argc, char** argv) {
 
   for (const auto backend :
        {mm::Backend::kPointerGreedy, mm::Backend::kIsraeliItai,
-        mm::Backend::kRandomPriority}) {
+        mm::Backend::kRandomPriority, mm::Backend::kColorClass}) {
     mm::RunConfig c;
     c.backend = backend;
     c.seed = seed;
     add_row(mm::to_string(backend), mm::run_maximal_matching(g, is_left, c));
   }
-  add_row("color-class(det)", mm::run_color_matching(g));
   table.print(std::cout);
 
   // Wire-level view of Israeli-Itai's first MatchingRound(s), via the
@@ -61,7 +63,8 @@ int main(int argc, char** argv) {
   net.enable_trace(4096);
   std::vector<std::unique_ptr<mm::Node>> nodes;
   for (NodeId v = 0; v < tg.node_count(); ++v) {
-    auto node = mm::make_node(mm::Backend::kIsraeliItai, seed, v);
+    auto node = mm::make_node(mm::Backend::kIsraeliItai, seed, v,
+                              tg.max_degree(), tg.node_count());
     node->reset(v, v < tiny.n_men(), tg.neighbors(v));
     nodes.push_back(std::move(node));
   }

@@ -46,8 +46,10 @@ int almost_regular_mm_budget(const Instance& inst,
                              const AlmostRegularAsmParams& params) {
   DASM_CHECK(params.failure_prob > 0.0 && params.failure_prob < 1.0);
   const double alpha = effective_alpha(inst, params);
-  const NodeId n = std::max(inst.n_men(), inst.n_women());
-  const Schedule sched = resolve_schedule(to_asm_params(inst, params), n);
+  const Schedule sched =
+      resolve_schedule(to_asm_params(inst, params),
+                       std::max(inst.n_men(), inst.n_women()),
+                       inst.graph().node_count());
   const auto calls =
       std::max<std::int64_t>(1, sched.scheduled_proposal_rounds());
   // Across all subcalls, the unsatisfied (dropped) men must stay within an

@@ -11,15 +11,15 @@ namespace dasm::core {
 AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
     : inst_(&inst),
       params_(params),
-      sched_(resolve_schedule(params,
-                              std::max(inst.n_men(), inst.n_women()))),
+      sched_(resolve_schedule(params, std::max(inst.n_men(), inst.n_women()),
+                              inst.graph().node_count())),
       net_(inst.graph().graph()),
       rec_(params.obs_sink) {
   const auto& bg = inst.graph();
+  const NodeId g0_bound = g0_degree_bound(inst, sched_.k);
   auto make_mm = [&](NodeId node_id) {
-    return params.mm_node_factory
-               ? params.mm_node_factory(node_id)
-               : mm::make_node(params.mm_backend, params.seed, node_id);
+    return mm::make_node(params.mm_backend, params.seed, node_id, g0_bound,
+                         bg.node_count());
   };
   auto player_k = [&](const PreferenceList& pref) {
     // §3.2: k = deg(v) degenerates every quantile to a single partner.

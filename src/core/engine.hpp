@@ -115,8 +115,8 @@ AsmResult run_asm(const Instance& inst, const AsmParams& params);
 
 /// Upper bound on the degree of any Step-3 accepted-proposal graph G0
 /// when preferences are quantized into k quantiles: max over players of
-/// ceil(deg / k). Used to size degree-parameterized subroutines (e.g.
-/// mm::ColorClassNode).
+/// ceil(deg / k). The degree bound the engine hands mm::make_node, which
+/// sizes degree-parameterized subroutines (mm::Backend::kColorClass).
 NodeId g0_degree_bound(const Instance& inst, NodeId k);
 
 }  // namespace dasm::core

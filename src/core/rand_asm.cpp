@@ -31,8 +31,10 @@ AsmParams to_asm_params(const RandAsmParams& params) {
 
 int rand_asm_mm_budget(const Instance& inst, const RandAsmParams& params) {
   DASM_CHECK(params.failure_prob > 0.0 && params.failure_prob < 1.0);
-  const NodeId n = std::max(inst.n_men(), inst.n_women());
-  const Schedule sched = resolve_schedule(to_asm_params(params), n);
+  const Schedule sched =
+      resolve_schedule(to_asm_params(params),
+                       std::max(inst.n_men(), inst.n_women()),
+                       inst.graph().node_count());
   // Union bound over every Step-3 subcall in the schedule: each must be
   // maximal with probability 1 - failure_prob / (number of subcalls).
   const auto calls = std::max<std::int64_t>(1, sched.scheduled_proposal_rounds());

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "mm/runner.hpp"
 #include "util/check.hpp"
 
 namespace dasm::core {
@@ -30,7 +31,8 @@ std::int64_t Schedule::hkp_normalized_rounds(NodeId n) const {
   return scheduled_proposal_rounds() * (3 + mm);
 }
 
-Schedule resolve_schedule(const AsmParams& params, NodeId n) {
+Schedule resolve_schedule(const AsmParams& params, NodeId n,
+                          NodeId node_count) {
   DASM_CHECK(n >= 1);
   DASM_CHECK_MSG(params.epsilon > 0.0 && params.epsilon <= 1.0,
                  "epsilon must be in (0, 1], got " << params.epsilon);
@@ -59,12 +61,8 @@ Schedule resolve_schedule(const AsmParams& params, NodeId n) {
 
   s.mm_budget_iterations = params.mm_iteration_budget;
   DASM_CHECK(s.mm_budget_iterations >= 0);
-  if (params.mm_rounds_per_iteration_override > 0) {
-    s.mm_rounds_per_iteration = params.mm_rounds_per_iteration_override;
-  } else {
-    s.mm_rounds_per_iteration =
-        params.mm_backend == mm::Backend::kIsraeliItai ? 4 : 3;
-  }
+  s.mm_rounds_per_iteration =
+      mm::rounds_per_iteration(params.mm_backend, node_count);
   return s;
 }
 

@@ -14,7 +14,7 @@ struct Schedule {
   int outer = 0;                      ///< outer iterations (i = 0..log n)
   std::int64_t inner = 0;             ///< QuantileMatch calls per outer iter
   int mm_budget_iterations = 0;       ///< 0 = run MM to quiescence
-  int mm_rounds_per_iteration = 0;    ///< 4 for Israeli–Itai, 3 for greedy
+  int mm_rounds_per_iteration = 0;    ///< mm::rounds_per_iteration
 
   /// QuantileMatch calls in the full schedule: outer * inner.
   std::int64_t scheduled_quantile_matches() const;
@@ -34,7 +34,9 @@ struct Schedule {
 };
 
 /// Resolves params against an instance with n = max(n_men, n_women)
-/// players per side. Validates every override.
-Schedule resolve_schedule(const AsmParams& params, NodeId n);
+/// players per side and `node_count` = n_men + n_women processors (which
+/// sizes degree-parameterized MM schedules). Validates every override.
+Schedule resolve_schedule(const AsmParams& params, NodeId n,
+                          NodeId node_count);
 
 }  // namespace dasm::core

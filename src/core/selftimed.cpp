@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/engine.hpp"
 #include "core/player.hpp"
 #include "mm/runner.hpp"
 #include "util/check.hpp"
@@ -100,28 +101,30 @@ class SelfTimedWoman {
 
 SelfTimedResult run_selftimed_asm(const Instance& inst,
                                   const AsmParams& params) {
-  const NodeId n = std::max(inst.n_men(), inst.n_women());
-  const Schedule sched = resolve_schedule(params, n);
-  const PhaseScript script(sched);
   const auto& bg = inst.graph();
+  const Schedule sched = resolve_schedule(
+      params, std::max(inst.n_men(), inst.n_women()), bg.node_count());
+  const PhaseScript script(sched);
   Network net(bg.graph());
+  const NodeId g0_bound = g0_degree_bound(inst, sched.k);
+  auto make_mm = [&](NodeId node_id) {
+    return mm::make_node(params.mm_backend, params.seed, node_id, g0_bound,
+                         bg.node_count());
+  };
 
   std::vector<SelfTimedMan> men;
   men.reserve(static_cast<std::size_t>(inst.n_men()));
   for (NodeId m = 0; m < inst.n_men(); ++m) {
-    men.emplace_back(
-        ManPlayer(bg.man_id(m), inst.man_pref(m), sched.k, inst.n_men(),
-                  mm::make_node(params.mm_backend, params.seed, bg.man_id(m))),
-        script, params.drop_unsatisfied_men);
+    men.emplace_back(ManPlayer(bg.man_id(m), inst.man_pref(m), sched.k,
+                               inst.n_men(), make_mm(bg.man_id(m))),
+                     script, params.drop_unsatisfied_men);
   }
   std::vector<SelfTimedWoman> women;
   women.reserve(static_cast<std::size_t>(inst.n_women()));
   for (NodeId w = 0; w < inst.n_women(); ++w) {
-    women.emplace_back(
-        WomanPlayer(bg.woman_id(w), inst.woman_pref(w), sched.k,
-                    mm::make_node(params.mm_backend, params.seed,
-                                  bg.woman_id(w))),
-        script);
+    women.emplace_back(WomanPlayer(bg.woman_id(w), inst.woman_pref(w),
+                                   sched.k, make_mm(bg.woman_id(w))),
+                       script);
   }
 
   // The protocol-agnostic synchronous driver: move messages, nothing else.

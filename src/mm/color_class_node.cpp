@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <bit>
 
-#include "mm/color_matching.hpp"
 #include "util/check.hpp"
 
 namespace dasm::mm {
 
 namespace {
 
-std::int64_t cv_update(std::int64_t own, std::int64_t parent_color) {
+// One Cole–Vishkin step: recolor `own` against the parent's color, keyed
+// on the lowest bit position at which the two (distinct) colors differ.
+std::int64_t cv_step(std::int64_t own, std::int64_t parent_color) {
   DASM_DCHECK(own != parent_color);
   const int i =
       std::countr_zero(static_cast<std::uint64_t>(own ^ parent_color));
@@ -19,14 +20,26 @@ std::int64_t cv_update(std::int64_t own, std::int64_t parent_color) {
 
 }  // namespace
 
-int color_class_rounds_per_iteration(NodeId n_bound) {
-  return 1 + (cole_vishkin_iterations(n_bound) + 1) + 3 * 6 * 3;
+int cole_vishkin_iterations(NodeId n) {
+  DASM_CHECK(n >= 1);
+  // Colors start in [0, n); each step maps colors < cap into
+  // [0, 2 * bits(cap - 1)). Iterate the cap until it reaches 6.
+  std::int64_t cap = std::max<std::int64_t>(n, 2);
+  int iters = 0;
+  while (cap > 6) {
+    cap = 2 * static_cast<std::int64_t>(
+                  std::bit_width(static_cast<std::uint64_t>(cap - 1)));
+    ++iters;
+  }
+  return iters;
 }
 
 ColorClassNode::ColorClassNode(NodeId delta_bound, NodeId n_bound)
     : delta_(delta_bound),
       cv_iters_(cole_vishkin_iterations(n_bound)),
-      per_class_(color_class_rounds_per_iteration(n_bound)) {
+      // Parent exchange + initial color + Cole–Vishkin + 3 sweeps x 6
+      // colors x (propose, accept, resolve).
+      per_class_(1 + (cv_iters_ + 1) + 3 * 6 * 3) {
   DASM_CHECK(delta_bound >= 1);
 }
 
@@ -42,7 +55,7 @@ void ColorClassNode::reset(NodeId self, bool /*is_left*/,
   alive_ = !neighbors_.empty();
   partner_ = kNoNode;
   round_ = 0;
-  class_nbrs_.clear();
+  class_ports_.clear();
   parent_ = kNoNode;
 }
 
@@ -50,13 +63,6 @@ void ColorClassNode::mark_dead(NodeId v) {
   for (std::size_t i = 0; i < neighbors_.size(); ++i) {
     if (neighbors_[i] == v) neighbor_alive_[i] = false;
   }
-}
-
-bool ColorClassNode::neighbor_live(NodeId v) const {
-  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-    if (neighbors_[i] == v) return neighbor_alive_[i];
-  }
-  return false;
 }
 
 bool ColorClassNode::any_live_neighbor() const {
@@ -78,8 +84,15 @@ void ColorClassNode::withdraw(Network& net) {
   }
 }
 
-void ColorClassNode::on_round(InboxView inbox,
-                              Network& net) {
+void ColorClassNode::send_color(Network& net) {
+  for (const std::size_t p : class_ports_) {
+    if (neighbor_alive_[p]) {
+      net.send(self_, neighbors_[p], Message{MsgType::kColor, color_});
+    }
+  }
+}
+
+void ColorClassNode::on_round(InboxView inbox, Network& net) {
   process_withdrawals(inbox);
   const std::int64_t r = round_++;
 
@@ -122,25 +135,26 @@ void ColorClassNode::on_round(InboxView inbox,
   if (within == 0) {
     // Membership: my class edge as lower endpoint has my port a and peer
     // port b; as higher endpoint my port b and peer port a.
-    class_nbrs_.clear();
-    if (static_cast<std::size_t>(a) < neighbors_.size() &&
-        neighbor_alive_[static_cast<std::size_t>(a)] &&
-        neighbors_[static_cast<std::size_t>(a)] > self_ &&
-        peer_port_[static_cast<std::size_t>(a)] == b) {
-      class_nbrs_.push_back(neighbors_[static_cast<std::size_t>(a)]);
+    class_ports_.clear();
+    const auto pa = static_cast<std::size_t>(a);
+    const auto pb = static_cast<std::size_t>(b);
+    if (pa < neighbors_.size() && neighbor_alive_[pa] &&
+        neighbors_[pa] > self_ && peer_port_[pa] == b) {
+      class_ports_.push_back(pa);
     }
-    if (static_cast<std::size_t>(b) < neighbors_.size() &&
-        neighbor_alive_[static_cast<std::size_t>(b)] &&
-        neighbors_[static_cast<std::size_t>(b)] < self_ &&
-        peer_port_[static_cast<std::size_t>(b)] == a) {
-      class_nbrs_.push_back(neighbors_[static_cast<std::size_t>(b)]);
+    if (pb < neighbors_.size() && neighbor_alive_[pb] &&
+        neighbors_[pb] < self_ && peer_port_[pb] == a) {
+      class_ports_.push_back(pb);
     }
     if (in_class()) {
-      parent_ = *std::max_element(class_nbrs_.begin(), class_nbrs_.end());
+      parent_ = kNoNode;
+      for (const std::size_t p : class_ports_) {
+        parent_ = std::max(parent_, neighbors_[p]);
+      }
       rooted_ = false;
       color_ = self_;
-      for (NodeId w : class_nbrs_) {
-        net.send(self_, w, Message{MsgType::kParent, parent_});
+      for (const std::size_t p : class_ports_) {
+        net.send(self_, neighbors_[p], Message{MsgType::kParent, parent_});
       }
     }
     return;
@@ -154,11 +168,7 @@ void ColorClassNode::on_round(InboxView inbox,
         rooted_ = true;
       }
     }
-    for (NodeId w : class_nbrs_) {
-      if (neighbor_live(w)) {
-        net.send(self_, w, Message{MsgType::kColor, color_});
-      }
-    }
+    send_color(net);
     return;
   }
   if (within <= 1 + cv_iters_) {
@@ -176,12 +186,8 @@ void ColorClassNode::on_round(InboxView inbox,
       DASM_CHECK_MSG(parent_color >= 0,
                      "node " << self_ << " missed its parent's color");
     }
-    color_ = cv_update(color_, parent_color);
-    for (NodeId w : class_nbrs_) {
-      if (neighbor_live(w)) {
-        net.send(self_, w, Message{MsgType::kColor, color_});
-      }
-    }
+    color_ = cv_step(color_, parent_color);
+    send_color(net);
     return;
   }
 
@@ -193,8 +199,10 @@ void ColorClassNode::on_round(InboxView inbox,
   if (phase == 0) {
     if (!in_class() || color_ != color_phase) return;
     NodeId target = kNoNode;
-    for (NodeId w : class_nbrs_) {
-      if (neighbor_live(w) && (target == kNoNode || w < target)) target = w;
+    for (const std::size_t p : class_ports_) {
+      if (neighbor_alive_[p] && (target == kNoNode || neighbors_[p] < target)) {
+        target = neighbors_[p];
+      }
     }
     if (target != kNoNode) {
       net.send(self_, target, Message{MsgType::kMmPropose});

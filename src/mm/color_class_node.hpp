@@ -1,22 +1,40 @@
-// The color-class deterministic maximal matching (see color_matching.hpp)
-// as a lockstep mm::Node, so it can back ProposalRound Step 3 inside ASM.
+// Deterministic distributed maximal matching via edge classes and
+// Cole–Vishkin coloring (in the style of Panconesi–Rizzi), as a lockstep
+// mm::Node — Backend::kColorClass, usable standalone (mm/runner) and as
+// ProposalRound Step 3 inside ASM.
 //
-// Every node derives its phase purely from its own round counter and two
-// globally known bounds: delta_bound (an upper bound on the degree of the
-// subgraph the protocol runs on — inside ASM, quantization bounds G0's
-// degree by max_v ceil(deg(v)/k)) and n_bound (for the Cole–Vishkin
-// iteration count). The fixed schedule is
+//   1. Every vertex numbers its incident edges with ports 0..deg-1 and
+//      exchanges port numbers, so both endpoints of an edge {u, v}
+//      (u < v) know its CLASS (port_u, port_v). Each class induces a
+//      subgraph of maximum degree 2 (disjoint paths and cycles): a vertex
+//      has at most one class edge as the lower endpoint (ports are
+//      distinct) and at most one as the higher endpoint.
+//   2. For each of the delta_bound^2 classes in a globally known order:
+//      a. each vertex picks its highest-id live class-neighbour as its
+//         parent, giving a pseudoforest (mutual pairs are rooted at the
+//         higher id);
+//      b. Cole–Vishkin color reduction runs on the pseudoforest until
+//         every vertex has a color < 6 — O(log* n) rounds;
+//      c. three sweeps over the 6 color phases compute a maximal matching
+//         of the class subgraph: in phase c, unmatched color-c vertices
+//         propose to their smallest-id unmatched class-neighbour,
+//         receivers accept their smallest-id proposer, and matched
+//         vertices withdraw from the whole graph. (Degree <= 2 means a
+//         vertex can lose a neighbour to another match at most twice, so
+//         three sweeps guarantee class maximality.)
 //
-//   1 port round + delta_bound^2 classes x (1 parent + (cv+1) CV + 54
-//   sweep rounds),
+// Every edge lies in some class, and each class pass leaves no class edge
+// with two unmatched endpoints, so the union is maximal.
 //
-// deterministic and independent of the execution — the property a
-// self-timed CONGEST protocol needs. For bounded-degree preferences this
-// gives a deterministic ASM whose Step-3 subroutine has a worst-case
-// round bound with no HKP black box at all (DESIGN.md §2).
+// Every node derives its phase from its own round counter and two global
+// bounds: delta_bound (>= the degree of the subgraph the protocol runs on;
+// inside ASM, quantization bounds G0's degree by max_v ceil(deg(v)/k)) and
+// n_bound (for the Cole–Vishkin iteration count). The fixed schedule,
+// 1 port round + delta_bound^2 classes x (1 parent + (cv+1) CV + 54 sweep
+// rounds), is independent of the execution and constant in n for the
+// bounded-preference regime of Floréen et al. [3]: a deterministic ASM
+// Step 3 with a worst-case round bound and no HKP black box (DESIGN.md §2).
 #pragma once
-
-#include <memory>
 
 #include "mm/node.hpp"
 
@@ -36,12 +54,12 @@ class ColorClassNode final : public Node {
   int rounds_per_iteration() const override { return per_class_; }
 
  private:
-  bool in_class() const { return !class_nbrs_.empty(); }
+  bool in_class() const { return !class_ports_.empty(); }
   void process_withdrawals(InboxView inbox);
   void mark_dead(NodeId v);
-  bool neighbor_live(NodeId v) const;
   bool any_live_neighbor() const;
   void withdraw(Network& net);
+  void send_color(Network& net);  // to every live class neighbour
 
   NodeId delta_;
   int cv_iters_;
@@ -57,14 +75,14 @@ class ColorClassNode final : public Node {
   std::vector<NodeId> peer_port_;       // my port on the peer's side
 
   // Per-class scratch.
-  std::vector<NodeId> class_nbrs_;
+  std::vector<std::size_t> class_ports_;  // my ports of this class's edges
   NodeId parent_ = kNoNode;
   bool rooted_ = false;
   std::int64_t color_ = 0;
 };
 
-/// Fixed per-class round count for the given n (the value
-/// ColorClassNode::rounds_per_iteration reports).
-int color_class_rounds_per_iteration(NodeId n_bound);
+/// The Cole–Vishkin iteration count needed to take ids in [0, n) down to
+/// colors < 6 (a deterministic a-priori bound, ~log* n + O(1)).
+int cole_vishkin_iterations(NodeId n);
 
 }  // namespace dasm::mm

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -52,8 +53,14 @@ enum class Backend {
   kPointerGreedy,   ///< deterministic; stands in for HKP [6] (see DESIGN.md)
   kIsraeliItai,     ///< randomized, Appendix A
   kRandomPriority,  ///< randomized, Luby-style edge priorities (ablation)
+  kColorClass,      ///< deterministic, Panconesi–Rizzi style; O(Delta^2 log* n)
 };
 
 const char* to_string(Backend b);
+
+/// Parses the CLI / request-file backend token: "det" (pointer-greedy),
+/// "ii" (Israeli–Itai) or "rp" (random-priority). Throws CheckError on
+/// anything else.
+Backend parse_backend(const std::string& token);
 
 }  // namespace dasm::mm

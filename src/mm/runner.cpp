@@ -1,5 +1,8 @@
 #include "mm/runner.hpp"
 
+#include <algorithm>
+
+#include "mm/color_class_node.hpp"
 #include "mm/israeli_itai.hpp"
 #include "mm/pointer_greedy.hpp"
 #include "mm/random_priority.hpp"
@@ -17,12 +20,24 @@ const char* to_string(Backend b) {
       return "israeli-itai(rand)";
     case Backend::kRandomPriority:
       return "random-priority(rand)";
+    case Backend::kColorClass:
+      return "color-class(det)";
   }
   return "unknown";
 }
 
+Backend parse_backend(const std::string& token) {
+  if (token == "det") return Backend::kPointerGreedy;
+  if (token == "ii") return Backend::kIsraeliItai;
+  if (token == "rp") return Backend::kRandomPriority;
+  DASM_CHECK_MSG(false,
+                 "backend must be det, ii or rp, got '" << token << "'");
+  return Backend::kPointerGreedy;
+}
+
 std::unique_ptr<Node> make_node(Backend backend, std::uint64_t seed,
-                                NodeId node_id) {
+                                NodeId node_id, NodeId degree_bound,
+                                NodeId node_count) {
   switch (backend) {
     case Backend::kPointerGreedy:
       return std::make_unique<PointerGreedyNode>();
@@ -32,9 +47,18 @@ std::unique_ptr<Node> make_node(Backend backend, std::uint64_t seed,
     case Backend::kRandomPriority:
       return std::make_unique<RandomPriorityNode>(
           derive_stream(seed ^ 0x5b1ce, static_cast<std::uint64_t>(node_id)));
+    case Backend::kColorClass:
+      return std::make_unique<ColorClassNode>(degree_bound, node_count);
   }
   DASM_CHECK_MSG(false, "unknown backend");
   return nullptr;
+}
+
+int rounds_per_iteration(Backend backend, NodeId node_count) {
+  // Ask a probe node, so each protocol's round count has one owner.
+  return make_node(backend, /*seed=*/0, /*node_id=*/0, /*degree_bound=*/1,
+                   node_count)
+      ->rounds_per_iteration();
 }
 
 RunResult run_maximal_matching(const Graph& g,
@@ -73,8 +97,9 @@ RunResult run_maximal_matching(const Graph& g,
   }
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.reserve(static_cast<std::size_t>(n));
+  const NodeId degree_bound = std::max<NodeId>(g.max_degree(), 1);
   for (NodeId v = 0; v < n; ++v) {
-    auto node = make_node(config.backend, config.seed, v);
+    auto node = make_node(config.backend, config.seed, v, degree_bound, n);
     const bool left =
         !is_left.empty() && is_left[static_cast<std::size_t>(v)];
     node->reset(v, left, g.neighbors(v));

@@ -70,13 +70,23 @@ struct RunResult {
 
 /// Runs the configured protocol on g. `is_left` gives the bipartite
 /// orientation (proposing side) and is required by kPointerGreedy; for
-/// kIsraeliItai it may be empty.
+/// the symmetric backends it may be empty.
 RunResult run_maximal_matching(const Graph& g, const std::vector<bool>& is_left,
                                const RunConfig& config);
 
 /// Creates a fresh protocol node for `backend`. Exposed so higher-level
 /// protocols (ProposalRound Step 3) can embed the same state machines.
+/// `degree_bound` (>= 1) bounds the degree of every graph the node will be
+/// reset on and `node_count` is the number of processors; both are global
+/// knowledge, read only by kColorClass, whose schedule they size.
 std::unique_ptr<Node> make_node(Backend backend, std::uint64_t seed,
-                                NodeId node_id);
+                                NodeId node_id, NodeId degree_bound,
+                                NodeId node_count);
+
+/// Communication rounds per protocol iteration of `backend` on a network
+/// of `node_count` processors — what every node make_node builds reports
+/// through Node::rounds_per_iteration (e.g. 4 for one Israeli–Itai
+/// MatchingRound).
+int rounds_per_iteration(Backend backend, NodeId node_count);
 
 }  // namespace dasm::mm

@@ -46,14 +46,6 @@ double parse_double(const std::string& tok, const char* what) {
   return v;
 }
 
-mm::Backend parse_backend(const std::string& tok) {
-  if (tok == "det") return mm::Backend::kPointerGreedy;
-  if (tok == "ii") return mm::Backend::kIsraeliItai;
-  if (tok == "rp") return mm::Backend::kRandomPriority;
-  DASM_CHECK_MSG(false, "backend must be det, ii or rp, got '" << tok << "'");
-  return mm::Backend::kPointerGreedy;
-}
-
 Algo parse_algo(const std::string& tok) {
   if (tok == "asm") return Algo::kAsm;
   if (tok == "rand-asm") return Algo::kRandAsm;
@@ -84,7 +76,7 @@ Request parse_request(std::istream& is) {
     } else if (key == "seed") {
       req.seed = static_cast<std::uint64_t>(parse_int(value, "seed"));
     } else if (key == "backend") {
-      req.backend = parse_backend(value);
+      req.backend = mm::parse_backend(value);
     } else if (key == "max-rounds") {
       req.max_rounds = parse_int(value, "max-rounds");
       DASM_CHECK_MSG(req.max_rounds >= 0, "max-rounds must be >= 0");

@@ -1,12 +1,15 @@
-// The lockstep ColorClassNode: standalone maximality and its use as a
-// degree-parameterized deterministic Step-3 backend inside ASM.
+// The color-class deterministic maximal matching (Backend::kColorClass,
+// Panconesi–Rizzi style). The ColeVishkin / ColorMatching suites cover the
+// protocol run standalone through mm::run_maximal_matching (ctest
+// test_color_matching); the ColorClassNode / G0DegreeBound suites cover the
+// node's degree bound and its use as a degree-parameterized deterministic
+// Step-3 backend inside ASM (ctest test_color_class_node).
 #include "mm/color_class_node.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
 #include "gen/generators.hpp"
-#include "mm/color_matching.hpp"
 #include "mm/runner.hpp"
 #include "stable/blocking.hpp"
 #include "testing_graphs.hpp"
@@ -15,84 +18,117 @@
 namespace dasm {
 namespace {
 
+using testing::complete_graph;
 using testing::cycle_graph;
 using testing::path_graph;
 using testing::random_bipartite;
 using testing::random_graph;
+using testing::star_graph;
 
-// Lockstep driver mirroring mm::run_maximal_matching for a custom node.
-mm::RunResult drive(const Graph& g, NodeId delta_bound) {
-  Network net(g);
-  const NodeId n = g.node_count();
-  std::vector<mm::ColorClassNode> nodes;
-  nodes.reserve(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    nodes.emplace_back(delta_bound, std::max<NodeId>(n, 2));
-    nodes.back().reset(v, false, g.neighbors(v));
-  }
-  const std::int64_t total =
-      2 + static_cast<std::int64_t>(delta_bound) * delta_bound *
-              mm::color_class_rounds_per_iteration(std::max<NodeId>(n, 2)) +
-      2;
-  for (std::int64_t r = 0; r < total; ++r) {
-    bool all_done = true;
-    for (const auto& node : nodes) all_done = all_done && node.quiescent();
-    if (all_done) break;
-    net.begin_round();
-    for (NodeId v = 0; v < n; ++v) {
-      nodes[static_cast<std::size_t>(v)].on_round(net.inbox(v), net);
-    }
-    net.end_round();
-  }
-  mm::RunResult result;
-  result.matching = Matching(n);
-  for (NodeId v = 0; v < n; ++v) {
-    const NodeId p = nodes[static_cast<std::size_t>(v)].partner();
-    if (p != kNoNode && v < p) result.matching.add(v, p);
-  }
-  result.net = net.stats();
-  result.maximal = result.matching.is_maximal(g);
-  return result;
+mm::RunResult run_color_class(const Graph& g) {
+  mm::RunConfig config;
+  config.backend = mm::Backend::kColorClass;
+  return mm::run_maximal_matching(g, /*is_left=*/{}, config);
 }
 
-TEST(ColorClassNode, MaximalOnFixedTopologies) {
+TEST(ColeVishkin, IterationBoundIsTinyAndMonotone) {
+  EXPECT_GE(mm::cole_vishkin_iterations(2), 0);
+  EXPECT_LE(mm::cole_vishkin_iterations(1 << 20), 6);
+  EXPECT_LE(mm::cole_vishkin_iterations(7), mm::cole_vishkin_iterations(1 << 20));
+  EXPECT_THROW(mm::cole_vishkin_iterations(0), CheckError);
+}
+
+TEST(ColorMatching, EmptyAndEdgelessGraphs) {
+  EXPECT_TRUE(run_color_class(Graph(0)).maximal);
+  // Delta = 0: the runner clamps the degree bound to 1, which the node's
+  // constructor requires.
+  const auto r = run_color_class(Graph(4, {}));
+  EXPECT_TRUE(r.maximal);
+  EXPECT_EQ(r.matching.size(), 0);
+  EXPECT_EQ(r.net.messages, 0);
+}
+
+TEST(ColorMatching, MaximalOnFixedTopologies) {
   for (const Graph& g :
-       {path_graph(2), path_graph(9), cycle_graph(12)}) {
-    const auto r = drive(g, g.max_degree());
+       {path_graph(2), path_graph(9), cycle_graph(10), cycle_graph(12),
+        star_graph(7), complete_graph(8)}) {
+    const auto r = run_color_class(g);
     EXPECT_TRUE(r.matching.is_valid(g));
     EXPECT_TRUE(r.maximal) << "n=" << g.node_count();
   }
 }
 
-class ColorClassNodeSeeds : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ColorClassNodeSeeds, MaximalOnRandomBipartite) {
-  const auto [g, is_left] = random_bipartite(25, 25, 0.1, GetParam());
-  const auto r = drive(g, g.max_degree());
-  EXPECT_TRUE(r.matching.is_valid(g));
-  EXPECT_TRUE(r.maximal);
+TEST(ColorMatching, DeterministicAndReproducible) {
+  const Graph g = random_graph(60, 0.1, 4);
+  const auto a = run_color_class(g);
+  const auto b = run_color_class(g);
+  EXPECT_EQ(a.matching, b.matching);
+  EXPECT_EQ(a.net.executed_rounds, b.net.executed_rounds);
+  EXPECT_EQ(a.net.messages, b.net.messages);
 }
 
-TEST_P(ColorClassNodeSeeds, MaximalOnRandomGeneralGraphs) {
-  const Graph g = random_graph(40, 0.1, GetParam());
-  const auto r = drive(g, g.max_degree());
-  EXPECT_TRUE(r.maximal);
+class ColorMatchingSeeds : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ColorMatchingSeeds, MaximalOnRandomGeneralGraphs) {
+  for (const Graph& g :
+       {random_graph(70, 0.08, GetParam()), random_graph(40, 0.1, GetParam())}) {
+    const auto r = run_color_class(g);
+    EXPECT_TRUE(r.matching.is_valid(g));
+    EXPECT_TRUE(r.maximal);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ColorClassNodeSeeds,
-                         ::testing::Values(1, 2, 3, 4, 5, 6));
+TEST_P(ColorMatchingSeeds, MaximalOnRandomBipartite) {
+  for (const auto& [g, is_left] : {random_bipartite(35, 35, 0.12, GetParam()),
+                                   random_bipartite(25, 25, 0.1, GetParam())}) {
+    const auto r = run_color_class(g);
+    EXPECT_TRUE(r.matching.is_valid(g));
+    EXPECT_TRUE(r.maximal);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ColorMatchingSeeds,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(ColorMatching, RoundsIndependentOfNForBoundedDegree) {
+  // The schedule is O(Delta^2 (log* n + 1)): doubling n on a
+  // bounded-degree family must barely move the executed rounds.
+  std::vector<std::int64_t> rounds;
+  for (const NodeId n : {64, 128, 256, 512}) {
+    // Cycles have Delta = 2 everywhere.
+    const auto r = run_color_class(cycle_graph(n));
+    EXPECT_TRUE(r.maximal);
+    rounds.push_back(r.net.executed_rounds);
+  }
+  EXPECT_LE(rounds.back(), rounds.front() + 16);
+}
 
 TEST(ColorClassNode, LooseDegreeBoundStillWorks) {
-  const Graph g = path_graph(7);
-  const auto tight = drive(g, 2);
-  const auto loose = drive(g, 5);
-  EXPECT_TRUE(tight.maximal);
-  EXPECT_TRUE(loose.maximal);
+  // A star with 5 leaves next to a 7-node path: the runner sizes every
+  // node by the global Delta = 5, so the path's degree-<=2 nodes run a
+  // schedule far looser than their own degree needs.
+  std::vector<Edge> edges;
+  for (NodeId leaf = 1; leaf <= 5; ++leaf) edges.push_back({0, leaf});
+  for (NodeId v = 6; v < 12; ++v) edges.push_back({v, v + 1});
+  const Graph g(13, edges);
+  ASSERT_EQ(g.max_degree(), 5);
+  const auto r = run_color_class(g);
+  EXPECT_TRUE(r.matching.is_valid(g));
+  EXPECT_TRUE(r.maximal);
 }
 
 TEST(ColorClassNode, RejectsDegreeAboveBound) {
   mm::ColorClassNode node(2, 16);
   EXPECT_THROW(node.reset(0, false, {1, 2, 3}), CheckError);
+}
+
+TEST(ColorMatching, UsesOnlyExpectedMessageTypes) {
+  const Graph g = random_graph(40, 0.1, 11);
+  const auto r = run_color_class(g);
+  EXPECT_GT(r.net.count_of(MsgType::kPort), 0);
+  EXPECT_GT(r.net.count_of(MsgType::kColor), 0);
+  EXPECT_EQ(r.net.count_of(MsgType::kMmPick), 0);
+  EXPECT_EQ(r.net.count_of(MsgType::kGsPropose), 0);
 }
 
 TEST(G0DegreeBound, FollowsQuantileSizes) {
@@ -111,20 +147,16 @@ TEST(ColorClassNode, BacksAsmForBoundedPreferences) {
   core::AsmParams params;
   params.epsilon = 0.5;
   params.k = 2;  // quantile size 3 => G0 degree bound 3
-  const NodeId bound = core::g0_degree_bound(inst, params.k);
-  const NodeId n_bound = inst.graph().node_count();
-  params.mm_node_factory = [bound, n_bound](NodeId) {
-    return std::make_unique<mm::ColorClassNode>(bound, n_bound);
-  };
-  params.mm_rounds_per_iteration_override =
-      mm::color_class_rounds_per_iteration(n_bound);
+  params.mm_backend = mm::Backend::kColorClass;
 
   const auto r = core::run_asm(inst, params);
   validate_matching(inst, r.matching);
   EXPECT_LE(static_cast<double>(count_blocking_pairs(inst, r.matching)),
             0.5 * static_cast<double>(inst.edge_count()));
   EXPECT_EQ(r.schedule.mm_rounds_per_iteration,
-            mm::color_class_rounds_per_iteration(n_bound));
+            mm::ColorClassNode(core::g0_degree_bound(inst, params.k),
+                               inst.graph().node_count())
+                .rounds_per_iteration());
 
   // Deterministic: identical on a rerun.
   const auto r2 = core::run_asm(inst, params);

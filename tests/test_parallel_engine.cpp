@@ -16,7 +16,6 @@
 #include "core/engine.hpp"
 #include "core/rand_asm.hpp"
 #include "gen/generators.hpp"
-#include "mm/color_class_node.hpp"
 #include "mm/runner.hpp"
 #include "par/sweep.hpp"
 #include "par/thread_pool.hpp"
@@ -51,15 +50,9 @@ void use_israeli_itai(const Instance&, core::AsmParams& p) {
 void use_random_priority(const Instance&, core::AsmParams& p) {
   p.mm_backend = mm::Backend::kRandomPriority;
 }
-void use_color_class(const Instance& inst, core::AsmParams& p) {
-  p.k = 2;
-  const NodeId bound = core::g0_degree_bound(inst, p.k);
-  const NodeId n_bound = inst.graph().node_count();
-  p.mm_node_factory = [bound, n_bound](NodeId) {
-    return std::make_unique<mm::ColorClassNode>(bound, n_bound);
-  };
-  p.mm_rounds_per_iteration_override =
-      mm::color_class_rounds_per_iteration(n_bound);
+void use_color_class(const Instance&, core::AsmParams& p) {
+  p.k = 2;  // coarse quantiles, so G0 has degree > 1
+  p.mm_backend = mm::Backend::kColorClass;
 }
 
 const EngineVariant kVariants[] = {
@@ -147,6 +140,8 @@ TEST(ParallelEngine, MmRunnerBitIdenticalAcrossThreadCounts) {
       {&general, &no_sides, mm::Backend::kIsraeliItai},
       {&bip, &is_left, mm::Backend::kRandomPriority},
       {&general, &no_sides, mm::Backend::kRandomPriority},
+      {&bip, &is_left, mm::Backend::kColorClass},
+      {&general, &no_sides, mm::Backend::kColorClass},
   };
   for (const Case& c : cases) {
     for (const std::uint64_t seed : kSeeds) {

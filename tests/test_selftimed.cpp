@@ -28,7 +28,7 @@ AsmParams small_schedule(mm::Backend backend, std::uint64_t seed) {
 
 TEST(PhaseScript, EnumeratesTheRoundStructure) {
   AsmParams p = small_schedule(mm::Backend::kIsraeliItai, 1);
-  const Schedule sched = resolve_schedule(p, 16);
+  const Schedule sched = resolve_schedule(p, 16, 32);
   const PhaseScript script(sched);
   // 2 outer x 12 inner x k PRs x (3 + 6*4) rounds.
   EXPECT_EQ(script.total_rounds(),
@@ -64,7 +64,7 @@ TEST(PhaseScript, EnumeratesTheRoundStructure) {
 TEST(PhaseScript, RejectsRunToQuiescenceSchedules) {
   AsmParams p;
   p.mm_iteration_budget = 0;
-  const Schedule sched = resolve_schedule(p, 8);
+  const Schedule sched = resolve_schedule(p, 8, 16);
   EXPECT_THROW(PhaseScript{sched}, CheckError);
 }
 
@@ -82,7 +82,7 @@ TEST_P(SelfTimedEquivalence, MatchesTheUntrimmedEngineExactly) {
   const Instance inst = gen::complete_uniform(12, GetParam());
   for (const auto backend :
        {mm::Backend::kIsraeliItai, mm::Backend::kRandomPriority,
-        mm::Backend::kPointerGreedy}) {
+        mm::Backend::kPointerGreedy, mm::Backend::kColorClass}) {
     AsmParams p = small_schedule(backend, GetParam() * 7 + 1);
     const SelfTimedResult self_timed = run_selftimed_asm(inst, p);
 

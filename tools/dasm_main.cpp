@@ -191,16 +191,7 @@ int cmd_run(const Cli& cli) {
         params.retransmit_after = engine.retransmit_after;
         params.max_retransmits = engine.max_retransmits;
         params.metrics = reg;
-        const std::string backend = cli.get("backend", "det");
-        if (backend == "ii") {
-          params.mm_backend = mm::Backend::kIsraeliItai;
-        } else if (backend == "rp") {
-          params.mm_backend = mm::Backend::kRandomPriority;
-        } else {
-          DASM_CHECK_MSG(backend == "det",
-                         "--backend must be det, ii or rp, got '" << backend
-                                                                  << "'");
-        }
+        params.mm_backend = mm::parse_backend(cli.get("backend", "det"));
         return core::run_asm(inst, params);
       }
       core::RandAsmParams params;
