@@ -88,10 +88,12 @@ int legacy_encoded_bits(const Message& msg) {
 // congest/network.cpp send/end_round paths, line for line.
 class LegacyEngine {
  public:
-  explicit LegacyEngine(std::vector<std::vector<NodeId>> adjacency,
-                        int bit_budget)
-      : adj_(std::move(adjacency)), bit_budget_(bit_budget) {
-    const auto n = adj_.size();
+  LegacyEngine(const Graph& graph, int bit_budget) : bit_budget_(bit_budget) {
+    const auto n = static_cast<std::size_t>(graph.node_count());
+    for (NodeId v = 0; v < graph.node_count(); ++v) {
+      const auto row = graph.neighbors(v);
+      adj_.emplace_back(row.begin(), row.end());
+    }
     inboxes_.resize(n);
     outboxes_.resize(n);
     sent_stamp_.resize(n);
@@ -170,44 +172,17 @@ class LegacyEngine {
   std::int64_t trace_dropped_ = 0;
 };
 
-std::vector<std::vector<NodeId>> complete_bipartite(NodeId half) {
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(2 * half));
-  for (NodeId u = 0; u < half; ++u) {
-    for (NodeId v = 0; v < half; ++v) {
-      adj[static_cast<std::size_t>(u)].push_back(half + v);
-      adj[static_cast<std::size_t>(half + v)].push_back(u);
-    }
-  }
-  return adj;
-}
-
-// d-regular circulant: u ~ u +- 1..d/2 (mod n). Sparse, symmetric.
-std::vector<std::vector<NodeId>> circulant(NodeId n, NodeId d) {
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(n));
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId k = 1; k <= d / 2; ++k) {
-      adj[static_cast<std::size_t>(u)].push_back((u + k) % n);
-      adj[static_cast<std::size_t>(u)].push_back((u - k + n) % n);
-    }
-    auto& nb = adj[static_cast<std::size_t>(u)];
-    std::sort(nb.begin(), nb.end());
-  }
-  return adj;
-}
-
 // One all-edges round followed by the read pass every experiment's driver
 // performs: each directed edge carries a protocol-shaped message (an id
 // and a rank payload), then every node consumes its inbox.
 template <typename Engine>
-std::int64_t saturate_round(Engine& eng,
-                            const std::vector<std::vector<NodeId>>& adj,
-                            int round) {
+std::int64_t saturate_round(Engine& eng, const Graph& g, int round) {
   eng.begin_round();
-  const auto n = static_cast<NodeId>(adj.size());
+  const NodeId n = g.node_count();
   for (NodeId u = 0; u < n; ++u) {
     const auto id_payload = static_cast<std::int64_t>((u * 31 + round) % n);
     const auto rank_payload = static_cast<std::int64_t>(round % 997 + 1);
-    for (NodeId v : adj[static_cast<std::size_t>(u)]) {
+    for (NodeId v : g.neighbors(u)) {
       eng.send(u, v, Message{MsgType::kPropose, id_payload, rank_payload});
     }
   }
@@ -229,13 +204,11 @@ struct Throughput {
 };
 
 template <typename Engine>
-Throughput time_saturated(Engine& eng,
-                          const std::vector<std::vector<NodeId>>& adj,
-                          int rounds) {
-  for (int r = 0; r < 3; ++r) g_sink += saturate_round(eng, adj, r);
+Throughput time_saturated(Engine& eng, const Graph& g, int rounds) {
+  for (int r = 0; r < 3; ++r) g_sink += saturate_round(eng, g, r);
   const auto msgs_before = eng.stats().messages;
   const auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < rounds; ++r) g_sink += saturate_round(eng, adj, r);
+  for (int r = 0; r < rounds; ++r) g_sink += saturate_round(eng, g, r);
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   const auto msgs = eng.stats().messages - msgs_before;
@@ -245,16 +218,15 @@ Throughput time_saturated(Engine& eng,
 
 // Drives both engines through the same randomized schedule and verifies
 // bit-for-bit agreement of inboxes, stats, and the silent flag.
-bool engines_agree(const std::vector<std::vector<NodeId>>& adj, int rounds,
-                   std::uint64_t seed) {
-  Network net(adj);
-  LegacyEngine legacy(adj, net.message_bit_budget());
+bool engines_agree(const Graph& g, int rounds, std::uint64_t seed) {
+  Network net(g);
+  LegacyEngine legacy(g, net.message_bit_budget());
   Xoshiro256 rng(seed);
   for (int r = 0; r < rounds; ++r) {
     net.begin_round();
     legacy.begin_round();
-    for (NodeId u = 0; u < static_cast<NodeId>(adj.size()); ++u) {
-      for (NodeId v : adj[static_cast<std::size_t>(u)]) {
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      for (NodeId v : g.neighbors(u)) {
         if (!rng.bernoulli(0.5)) continue;
         const Message msg{static_cast<MsgType>(rng.below(4)),
                           rng.range(0, 1 << 10)};
@@ -267,7 +239,7 @@ bool engines_agree(const std::vector<std::vector<NodeId>>& adj, int rounds,
     if (net.last_round_was_silent() != legacy.last_round_was_silent()) {
       return false;
     }
-    for (NodeId v = 0; v < static_cast<NodeId>(adj.size()); ++v) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
       const InboxView got = net.inbox(v);
       const auto& want = legacy.inbox(v);
       if (got.size() != want.size()) return false;
@@ -296,14 +268,14 @@ int main(int argc, char** argv) {
   const bool large = bench::large_mode();
   struct Config {
     const char* name;
-    std::vector<std::vector<NodeId>> adj;
+    Graph graph;
     int rounds;
   };
   std::vector<Config> configs;
-  configs.push_back({"dense (K_128,128)", complete_bipartite(128),
+  configs.push_back({"dense (K_128,128)", bench::complete_bipartite_graph(128),
                      large ? 600 : 200});
-  configs.push_back({"sparse (8-reg circulant, n=8192)", circulant(8192, 8),
-                     large ? 600 : 200});
+  configs.push_back({"sparse (8-reg circulant, n=8192)",
+                     bench::circulant_graph(8192, 8), large ? 600 : 200});
 
   Table table({"graph", "engine", "trace", "rounds/s", "Mmsg/s", "speedup"});
   bool dense_speedup_ok = false;
@@ -315,14 +287,14 @@ int main(int argc, char** argv) {
       // keep the bench's runtime bounded.
       const std::size_t cap = 1024;
       const int rounds = traced ? (large ? 12 : 5) : cfg.rounds;
-      LegacyEngine legacy(cfg.adj, 1 << 20);
-      Network net(cfg.adj, 1 << 20);
+      LegacyEngine legacy(cfg.graph, 1 << 20);
+      Network net(cfg.graph, 1 << 20);
       if (traced) {
         legacy.enable_trace(cap);
         net.enable_trace(cap);
       }
-      const Throughput before = time_saturated(legacy, cfg.adj, rounds);
-      const Throughput after = time_saturated(net, cfg.adj, rounds);
+      const Throughput before = time_saturated(legacy, cfg.graph, rounds);
+      const Throughput after = time_saturated(net, cfg.graph, rounds);
       const double speedup = after.rounds_per_sec / before.rounds_per_sec;
       table.add_row({cfg.name, "legacy", traced ? "on" : "off",
                      Table::num(before.rounds_per_sec, 0),
@@ -340,19 +312,19 @@ int main(int argc, char** argv) {
   // (graph, seed) cells run on a SweepRunner (--threads N); the verdict
   // AND-reduces the cell results in index order.
   struct AgreeCell {
-    std::vector<std::vector<NodeId>> adj;
+    Graph graph;
     std::uint64_t seed;
   };
   std::vector<AgreeCell> agree_cells;
-  agree_cells.push_back({complete_bipartite(24), 1});
-  agree_cells.push_back({circulant(512, 6), 2});
+  agree_cells.push_back({bench::complete_bipartite_graph(24), 1});
+  agree_cells.push_back({bench::circulant_graph(512, 6), 2});
   par::SweepRunner sweep(opts.threads);
   // int cells, not bool: vector<bool> packs slots into shared words, which
   // concurrent cell writes would race on.
   const auto agreement = sweep.map<int>(
       static_cast<std::int64_t>(agree_cells.size()), [&](std::int64_t i) {
         const AgreeCell& cell = agree_cells[static_cast<std::size_t>(i)];
-        return engines_agree(cell.adj, 60, cell.seed) ? 1 : 0;
+        return engines_agree(cell.graph, 60, cell.seed) ? 1 : 0;
       });
   bool agree = true;
   for (const int cell_ok : agreement) agree = agree && cell_ok != 0;
@@ -366,13 +338,13 @@ int main(int argc, char** argv) {
   // warm-up rounds grow the staging and delivered buffers to a saturated
   // round's traffic; from then on they only reuse their capacity.
   bool zero_alloc = true;
-  const auto alloc_adj = complete_bipartite(32);
+  const Graph alloc_graph = bench::complete_bipartite_graph(32);
   for (const bool traced : {false, true}) {
-    Network net(alloc_adj);
+    Network net(alloc_graph);
     if (traced) net.enable_trace(64);
-    for (int r = 0; r < 4; ++r) g_sink += saturate_round(net, alloc_adj, r);
+    for (int r = 0; r < 4; ++r) g_sink += saturate_round(net, alloc_graph, r);
     const long long before = g_heap_allocs.load(std::memory_order_relaxed);
-    for (int r = 0; r < 64; ++r) g_sink += saturate_round(net, alloc_adj, r);
+    for (int r = 0; r < 64; ++r) g_sink += saturate_round(net, alloc_graph, r);
     const long long allocs =
         g_heap_allocs.load(std::memory_order_relaxed) - before;
     std::cout << "network, trace " << (traced ? "on" : "off") << ": "
@@ -387,12 +359,7 @@ int main(int argc, char** argv) {
   // Construction footprint: every byte a network over a borrowed Graph
   // requests before its first round (the per-port send marks and the
   // per-node tables; delivery buffers start empty).
-  const NodeId half = 256;
-  std::vector<Edge> kbb_edges;
-  for (NodeId u = 0; u < half; ++u) {
-    for (NodeId v = 0; v < half; ++v) kbb_edges.push_back(Edge{u, half + v});
-  }
-  const Graph kbb(2 * half, kbb_edges);
+  const Graph kbb = bench::complete_bipartite_graph(256);
   const long long bytes_before = g_heap_bytes.load(std::memory_order_relaxed);
   double bytes_per_edge = 0;
   {
@@ -413,11 +380,11 @@ int main(int argc, char** argv) {
   // the dense graph with the wall-clock metrics attached.
   if (!opts.metrics_out.empty()) {
     obs::MetricsRegistry registry;
-    const auto metrics_adj = complete_bipartite(128);
-    Network net(metrics_adj, 1 << 20);
+    const Graph metrics_graph = bench::complete_bipartite_graph(128);
+    Network net(metrics_graph, 1 << 20);
     net.set_metrics(&registry);
     for (int r = 0; r < 50; ++r) {
-      g_sink += saturate_round(net, metrics_adj, r);
+      g_sink += saturate_round(net, metrics_graph, r);
     }
     bench::write_metrics_snapshot(opts.metrics_out, registry);
   }

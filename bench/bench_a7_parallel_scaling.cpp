@@ -34,31 +34,6 @@
 namespace dasm {
 namespace {
 
-std::vector<std::vector<NodeId>> complete_bipartite(NodeId half) {
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(2 * half));
-  for (NodeId u = 0; u < half; ++u) {
-    for (NodeId v = 0; v < half; ++v) {
-      adj[static_cast<std::size_t>(u)].push_back(half + v);
-      adj[static_cast<std::size_t>(half + v)].push_back(u);
-    }
-  }
-  return adj;
-}
-
-// d-regular circulant: u ~ u +- 1..d/2 (mod n). Sparse, symmetric.
-std::vector<std::vector<NodeId>> circulant(NodeId n, NodeId d) {
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(n));
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId k = 1; k <= d / 2; ++k) {
-      adj[static_cast<std::size_t>(u)].push_back((u + k) % n);
-      adj[static_cast<std::size_t>(u)].push_back((u - k + n) % n);
-    }
-    auto& nb = adj[static_cast<std::size_t>(u)];
-    std::sort(nb.begin(), nb.end());
-  }
-  return adj;
-}
-
 struct Layer1Run {
   NetStats stats;
   std::vector<TraceEvent> trace;
@@ -69,10 +44,10 @@ struct Layer1Run {
 // Saturated all-edges rounds: each node messages every neighbour, stepped
 // by `threads` pool workers with matching send lanes. threads == 1 is the
 // plain serial engine (no pool, no lanes).
-Layer1Run drive_saturated(const std::vector<std::vector<NodeId>>& adj,
-                          int threads, int rounds, std::size_t trace_cap) {
-  const auto n = static_cast<NodeId>(adj.size());
-  Network net(adj, /*message_bit_budget=*/1 << 20);
+Layer1Run drive_saturated(const Graph& g, int threads, int rounds,
+                          std::size_t trace_cap) {
+  const NodeId n = g.node_count();
+  Network net(g, /*message_bit_budget=*/1 << 20);
   net.enable_trace(trace_cap);
   std::unique_ptr<par::ThreadPool> pool;
   if (threads > 1) {
@@ -82,7 +57,7 @@ Layer1Run drive_saturated(const std::vector<std::vector<NodeId>>& adj,
   auto step = [&](NodeId u, int round) {
     const auto id_payload = static_cast<std::int64_t>((u * 31 + round) % n);
     const auto rank_payload = static_cast<std::int64_t>(round % 997 + 1);
-    for (NodeId v : adj[static_cast<std::size_t>(u)]) {
+    for (NodeId v : g.neighbors(u)) {
       net.send(u, v, Message{MsgType::kPropose, id_payload, rank_payload});
     }
   };
@@ -188,14 +163,14 @@ int main(int argc, char** argv) {
   // ---- Layer 1: intra-round stepping ------------------------------------
   struct Config {
     const char* name;
-    std::vector<std::vector<NodeId>> adj;
+    Graph graph;
     int rounds;
   };
   std::vector<Config> configs;
-  configs.push_back({"dense (K_128,128)", complete_bipartite(128),
+  configs.push_back({"dense (K_128,128)", bench::complete_bipartite_graph(128),
                      large ? 120 : 40});
-  configs.push_back({"sparse (8-reg circulant, n=8192)", circulant(8192, 8),
-                     large ? 120 : 40});
+  configs.push_back({"sparse (8-reg circulant, n=8192)",
+                     bench::circulant_graph(8192, 8), large ? 120 : 40});
 
   Table layer1({"graph", "threads", "rounds/s", "speedup", "bit-identical"});
   bool identical = true;
@@ -203,11 +178,11 @@ int main(int argc, char** argv) {
   for (auto& cfg : configs) {
     const std::size_t trace_cap = 4096;
     const Layer1Run serial =
-        drive_saturated(cfg.adj, 1, cfg.rounds, trace_cap);
+        drive_saturated(cfg.graph, 1, cfg.rounds, trace_cap);
     for (const int threads : thread_counts) {
       const Layer1Run run =
           threads == 1 ? serial
-                       : drive_saturated(cfg.adj, threads, cfg.rounds,
+                       : drive_saturated(cfg.graph, threads, cfg.rounds,
                                          trace_cap);
       const bool same = run.stats == serial.stats &&
                         run.trace == serial.trace &&
@@ -273,15 +248,7 @@ int main(int argc, char** argv) {
     config.threads = 0;
     config.obs_sink = &sink;
     const NodeId gn = large ? 4096 : 1024;
-    const auto adj = circulant(gn, 8);
-    std::vector<Edge> edges;
-    for (NodeId u = 0; u < gn; ++u) {
-      for (const NodeId v : adj[static_cast<std::size_t>(u)]) {
-        if (u < v) edges.push_back({u, v});
-      }
-    }
-    const Graph g(gn, edges);
-    mm::run_maximal_matching(g, {}, config);
+    mm::run_maximal_matching(bench::circulant_graph(gn, 8), {}, config);
     obs::write_trace_file(sink, opts.trace_out);
     std::cout << "[trace] wrote " << opts.trace_out << " ("
               << sink.events.size() << " events, " << sink.rounds.size()

@@ -10,9 +10,11 @@
 #include <initializer_list>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "gen/generators.hpp"
+#include "graph/graph.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "par/thread_pool.hpp"
@@ -147,6 +149,26 @@ inline void print_header(const std::string& id, const std::string& claim,
 
 inline void print_verdict(bool ok, const std::string& what) {
   std::cout << (ok ? "[SHAPE OK]  " : "[SHAPE MISMATCH]  ") << what << "\n";
+}
+
+/// K_{half,half}: left vertices 0..half-1, right half..2*half-1.
+inline Graph complete_bipartite_graph(NodeId half) {
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(half) * half);
+  for (NodeId u = 0; u < half; ++u) {
+    for (NodeId v = 0; v < half; ++v) edges.push_back(Edge{u, half + v});
+  }
+  return Graph(2 * half, edges);
+}
+
+/// d-regular circulant: u ~ u +- 1..d/2 (mod n), for n > d. Sparse,
+/// symmetric.
+inline Graph circulant_graph(NodeId n, NodeId d) {
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId k = 1; k <= d / 2; ++k) edges.push_back(Edge{u, (u + k) % n});
+  }
+  return Graph(n, edges);
 }
 
 /// Instance family registry used across experiments.

@@ -65,7 +65,9 @@ int main(int argc, char** argv) {
   for (NodeId v = 0; v < tg.node_count(); ++v) {
     auto node = mm::make_node(mm::Backend::kIsraeliItai, seed, v,
                               tg.max_degree(), tg.node_count());
-    node->reset(v, v < tiny.n_men(), tg.neighbors(v));
+    const auto row = tg.neighbors(v);
+    node->reset(v, v < tiny.n_men(),
+                std::vector<NodeId>(row.begin(), row.end()));
     nodes.push_back(std::move(node));
   }
   for (int r = 0; r < trace_rounds * 4; ++r) {

@@ -63,36 +63,6 @@ int default_bit_budget(std::size_t n) {
   return 8 * std::max(width, 4);
 }
 
-// Validates adjacency lists and builds the Graph they describe. Edges are
-// taken from the row of their lower endpoint; Graph(n, edges) inserts both
-// directions, so the lists are symmetric and duplicate-free exactly when
-// every row, sorted, equals the graph's row.
-std::unique_ptr<const Graph> graph_from_adjacency(
-    const std::vector<std::vector<NodeId>>& adjacency) {
-  const auto n = adjacency.size();
-  std::vector<Edge> edges;
-  for (std::size_t v = 0; v < n; ++v) {
-    for (const NodeId u : adjacency[v]) {
-      DASM_CHECK_MSG(u >= 0 && static_cast<std::size_t>(u) < n,
-                     "neighbour id out of range: " << u);
-      DASM_CHECK_MSG(u != static_cast<NodeId>(v), "self-loop at node " << v);
-      if (static_cast<NodeId>(v) < u) {
-        edges.push_back(Edge{static_cast<NodeId>(v), u});
-      }
-    }
-  }
-  auto graph = std::make_unique<const Graph>(static_cast<NodeId>(n), edges);
-  std::vector<NodeId> row;
-  for (std::size_t v = 0; v < n; ++v) {
-    row = adjacency[v];
-    std::sort(row.begin(), row.end());
-    DASM_CHECK_MSG(row == graph->neighbors(static_cast<NodeId>(v)),
-                   "adjacency of node " << v
-                                        << " is asymmetric or has duplicates");
-  }
-  return graph;
-}
-
 constexpr std::size_t kNoPort = static_cast<std::size_t>(-1);
 
 // Large inboxes of equal size (a saturated K_{n,n} round) would start a
@@ -109,7 +79,7 @@ constexpr std::size_t kInboxGap = 2;     // envelopes, one 64 B line
 // complete graph's), a few on a row with few id gaps, the whole row on a
 // random one. It is branchless (a search for the last entry <= to), since
 // protocols send in rank order, not id order.
-inline std::size_t find_port(const std::vector<NodeId>& row, NodeId to) {
+inline std::size_t find_port(std::span<const NodeId> row, NodeId to) {
   if (row.empty() || to < row.front() || to > row.back()) return kNoPort;
   const std::size_t last = row.size() - 1;
   const std::size_t hi =
@@ -130,27 +100,10 @@ inline std::size_t find_port(const std::vector<NodeId>& row, NodeId to) {
 
 Network::Network(const Graph& graph, int message_bit_budget)
     : graph_(&graph) {
-  init(message_bit_budget);
-}
-
-Network::Network(const std::vector<std::vector<NodeId>>& adjacency,
-                 int message_bit_budget)
-    : owned_graph_(graph_from_adjacency(adjacency)),
-      graph_(owned_graph_.get()) {
-  init(message_bit_budget);
-}
-
-void Network::init(int message_bit_budget) {
-  const Graph& graph = *graph_;
   const auto n = static_cast<std::size_t>(graph.node_count());
   bit_budget_ = message_bit_budget > 0 ? message_bit_budget
                                        : default_bit_budget(n);
-  port_base_.resize(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    port_base_[v + 1] =
-        port_base_[v] + graph.neighbors(static_cast<NodeId>(v)).size();
-  }
-  sent_mark_.assign(port_base_[n], 0);
+  sent_mark_.assign(static_cast<std::size_t>(2 * graph.edge_count()), 0);
   inbox_count_.assign(n, 0);
   staged_count_.assign(n, 0);
   inbox_end_.assign(n, 0);
@@ -177,7 +130,8 @@ void Network::send(NodeId from, NodeId to, const Message& msg) {
   const std::size_t port = find_port(graph_->neighbors(from), to);
   DASM_CHECK_MSG(port != kNoPort,
                  "send along non-edge " << from << " -> " << to);
-  auto& mark = sent_mark_[port_base_[static_cast<std::size_t>(from)] + port];
+  auto& mark =
+      sent_mark_[static_cast<std::size_t>(graph_->row_offset(from)) + port];
   DASM_CHECK_MSG(mark != mark_epoch_,
                  "two messages on directed edge " << from << " -> " << to
                                                   << " in one round");
@@ -367,8 +321,9 @@ void Network::set_fault_plan(const FaultPlan& plan) {
                                             << node_count() << "-node network");
   }
   for (const EdgeDrop& e : plan.edge_drops) {
-    DASM_CHECK_MSG(has_edge(e.from, e.to), "EdgeDrop override on non-edge "
-                                               << e.from << " -> " << e.to);
+    DASM_CHECK_MSG(graph_->has_edge(e.from, e.to),
+                   "EdgeDrop override on non-edge " << e.from << " -> "
+                                                    << e.to);
   }
   plan_ = plan;
   drop_threshold_ = probability_threshold(plan.drop);

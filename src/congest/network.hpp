@@ -17,13 +17,14 @@
 // via charge_scheduled_rounds(), keeping the "paper schedule" accounting
 // distinct from the "executed" accounting (see DESIGN.md §2.3).
 //
-// The communication graph is a borrowed dasm::Graph, whose rows are
-// already sorted, duplicate-free and symmetric; the network keeps no copy
-// of the edge set. Delivery memory scales with traffic, not with edges:
-// send() appends a (from, to, msg) record to a staging buffer (in a
-// pooled round, to the sending worker's lane), and end_round()
-// counting-sorts the round's records by receiver into a delivered
-// Envelope buffer, touching only this round's receivers. The
+// The communication graph is a borrowed dasm::Graph: one CSR whose rows
+// are already sorted, duplicate-free and symmetric. The network keeps no
+// copy of the edge set and no edge index of its own; a directed edge is
+// named by its position in the graph's CSR. Delivery memory scales with
+// traffic, not with edges: send() appends a (from, to, msg) record to a
+// staging buffer (in a pooled round, to the sending worker's lane), and
+// end_round() counting-sorts the round's records by receiver into a
+// delivered Envelope buffer, touching only this round's receivers. The
 // sort is stable, so every inbox is one contiguous run in send-call order.
 // Both buffers keep their capacity across rounds, so once they have grown
 // to the largest round's traffic, rounds perform no allocations. Per
@@ -34,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -129,23 +129,13 @@ class Network {
   /// Builds a network over `graph`, which it borrows: the graph must
   /// outlive the network. Graph rows are sorted, duplicate-free and
   /// symmetric by construction, so nothing is copied or re-validated.
+  /// Protocols and tests read the topology from the graph itself.
   /// `message_bit_budget` caps a single message's encoded size (pass 0 to
   /// derive the standard CONGEST budget 8 * ceil(log2(n + 2))).
   explicit Network(const Graph& graph, int message_bit_budget = 0);
   Network(const Graph&& graph, int message_bit_budget = 0) = delete;
 
-  /// Builds a network over undirected adjacency lists: `adjacency[v]`
-  /// lists the neighbours of v in any order. Rejects out-of-range ids,
-  /// self-loops, duplicates and asymmetric lists, then owns the validated
-  /// Graph it built.
-  explicit Network(const std::vector<std::vector<NodeId>>& adjacency,
-                   int message_bit_budget = 0);
-
   NodeId node_count() const { return graph_->node_count(); }
-  const std::vector<NodeId>& neighbors(NodeId v) const {
-    return graph_->neighbors(v);
-  }
-  bool has_edge(NodeId u, NodeId v) const { return graph_->has_edge(u, v); }
   int message_bit_budget() const { return bit_budget_; }
 
   /// Starts a communication round. Must alternate with end_round().
@@ -327,13 +317,10 @@ class Network {
     StagedSend rec;
   };
 
-  std::unique_ptr<const Graph> owned_graph_;  // list constructor only
   const Graph* graph_;
-  // Directed-edge index of each node's first port, size n + 1: the port of
-  // (from, to) is port_base_[from] + the position of `to` in from's row.
-  std::vector<std::size_t> port_base_;
-  // The send guard: sent_mark_[port] holds the epoch of the round that
-  // last used the directed edge. Epochs run 1..255; when they wrap,
+  // The send guard: sent_mark_[e] holds the epoch of the round that last
+  // used directed edge e, indexed by the graph's own CSR position
+  // (graph_->row_offset(from) + port). Epochs run 1..255; when they wrap,
   // begin_round() zeroes every mark, so the guard is exact across any
   // number of rounds at one byte per directed edge.
   std::vector<std::uint8_t> sent_mark_;
@@ -406,8 +393,6 @@ class Network {
   int retransmit_after_ = 0;
   int max_retransmits_ = 64;
 
-  // Sizes the per-node and per-port tables for graph_.
-  void init(int message_bit_budget);
   void end_round_impl();
   void count_receiver(NodeId to) {
     if (staged_count_[static_cast<std::size_t>(to)]++ == 0) {

@@ -2,10 +2,10 @@
 //
 // Global node ids place the men first: man i has id i, woman j has id
 // n_men + j. This is the id space used by the CONGEST simulator, the
-// matching protocols and the ASM players.
+// matching protocols and the ASM players. The class adds only that id
+// mapping to a Graph it owns; Instance builds the graph's CSR rows
+// straight from its preference arenas and hands them over.
 #pragma once
-
-#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -13,11 +13,9 @@ namespace dasm {
 
 class BipartiteGraph {
  public:
-  /// Builds the communication graph from per-man neighbour lists:
-  /// `men_to_women[i]` lists the woman indices on man i's preference list.
-  /// Symmetry is implied (each listed edge is a mutual ranking).
-  BipartiteGraph(NodeId n_men, NodeId n_women,
-                 const std::vector<std::vector<NodeId>>& men_to_women);
+  /// Takes over `graph`, whose node count must be n_men + n_women and
+  /// whose every edge joins a man id to a woman id.
+  BipartiteGraph(NodeId n_men, NodeId n_women, Graph graph);
 
   NodeId n_men() const { return n_men_; }
   NodeId n_women() const { return n_women_; }

@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -8,7 +9,7 @@ namespace dasm {
 
 Graph::Graph(NodeId n) {
   DASM_CHECK(n >= 0);
-  adj_.resize(static_cast<std::size_t>(n));
+  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
 }
 
 Graph::Graph(NodeId n, const std::vector<Edge>& edges) : Graph(n) {
@@ -16,16 +17,34 @@ Graph::Graph(NodeId n, const std::vector<Edge>& edges) : Graph(n) {
     DASM_CHECK_MSG(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n,
                    "edge endpoint out of range: (" << e.u << "," << e.v << ")");
     DASM_CHECK_MSG(e.u != e.v, "self-loop at " << e.u);
-    adj_[static_cast<std::size_t>(e.u)].push_back(e.v);
-    adj_[static_cast<std::size_t>(e.v)].push_back(e.u);
+    ++offsets_[static_cast<std::size_t>(e.u) + 1];
+    ++offsets_[static_cast<std::size_t>(e.v) + 1];
   }
-  for (std::size_t v = 0; v < adj_.size(); ++v) {
-    auto& nb = adj_[v];
-    std::sort(nb.begin(), nb.end());
-    DASM_CHECK_MSG(std::adjacent_find(nb.begin(), nb.end()) == nb.end(),
+  for (std::size_t v = 1; v < offsets_.size(); ++v) {
+    offsets_[v] += offsets_[v - 1];
+  }
+  neighbours_.resize(static_cast<std::size_t>(offsets_.back()));
+  std::vector<std::int64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const Edge& e : edges) {
+    neighbours_[static_cast<std::size_t>(cursor[e.u]++)] = e.v;
+    neighbours_[static_cast<std::size_t>(cursor[e.v]++)] = e.u;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    const auto first = neighbours_.begin() + offsets_[v];
+    const auto last = neighbours_.begin() + offsets_[v + 1];
+    std::sort(first, last);
+    DASM_CHECK_MSG(std::adjacent_find(first, last) == last,
                    "duplicate edge incident to node " << v);
   }
-  edge_count_ = static_cast<std::int64_t>(edges.size());
+}
+
+Graph::Graph(std::vector<std::int64_t> offsets, std::vector<NodeId> neighbours)
+    : offsets_(std::move(offsets)), neighbours_(std::move(neighbours)) {
+  DASM_CHECK(!offsets_.empty() &&
+             offsets_.back() == static_cast<std::int64_t>(neighbours_.size()));
+  // Rebuilding from the u < v entries reproduces the rows exactly when they
+  // are sorted, symmetric, in range and free of self-loops and duplicates.
+  DASM_DCHECK(Graph(node_count(), edges()).neighbours_ == neighbours_);
 }
 
 NodeId Graph::degree(NodeId v) const {
@@ -34,15 +53,15 @@ NodeId Graph::degree(NodeId v) const {
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
   if (u < 0 || v < 0 || u >= node_count() || v >= node_count()) return false;
-  const auto& nb = adj_[static_cast<std::size_t>(u)];
+  const auto nb = neighbors(u);
   return std::binary_search(nb.begin(), nb.end(), v);
 }
 
 std::vector<Edge> Graph::edges() const {
   std::vector<Edge> out;
-  out.reserve(static_cast<std::size_t>(edge_count_));
+  out.reserve(static_cast<std::size_t>(edge_count()));
   for (NodeId u = 0; u < node_count(); ++u) {
-    for (NodeId v : adj_[static_cast<std::size_t>(u)]) {
+    for (const NodeId v : neighbors(u)) {
       if (u < v) out.push_back(Edge{u, v});
     }
   }

@@ -1,12 +1,16 @@
-// Simple immutable undirected graph with sorted adjacency lists.
+// Simple immutable undirected graph in compressed sparse row form.
 //
 // Used both as the communication graph handed to the CONGEST simulator and
 // as the input to the maximal-matching protocols (which operate on general
 // graphs, per Israeli–Itai [8]).
+//
+// Storage is one CSR: n + 1 offsets and 2m neighbours. Row v is sorted by
+// id and duplicate-free; an entry's position in the concatenation names a
+// directed edge (the CONGEST simulator's send guard is indexed by it).
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "congest/types.hpp"
@@ -28,18 +32,31 @@ class Graph {
   /// Empty graph on n vertices.
   explicit Graph(NodeId n = 0);
 
-  /// Graph on n vertices with the given undirected edges. Duplicate edges
-  /// and self-loops are rejected.
+  /// Graph on n vertices with the given undirected edges. Out-of-range
+  /// endpoints, self-loops and duplicate edges are rejected.
   Graph(NodeId n, const std::vector<Edge>& edges);
 
-  NodeId node_count() const { return static_cast<NodeId>(adj_.size()); }
-  std::int64_t edge_count() const { return edge_count_; }
+  /// Takes over finished CSR arrays without copying them. Precondition:
+  /// `offsets` runs from 0 to neighbours.size(), and the rows are strictly
+  /// increasing, in range, loop-free and symmetric. Only debug builds
+  /// re-check it.
+  Graph(std::vector<std::int64_t> offsets, std::vector<NodeId> neighbours);
+
+  NodeId node_count() const { return static_cast<NodeId>(offsets_.size()) - 1; }
+  std::int64_t edge_count() const { return std::ssize(neighbours_) / 2; }
 
   /// Sorted neighbour row of v. Inline: the CONGEST simulator resolves
   /// every send's port through it.
-  const std::vector<NodeId>& neighbors(NodeId v) const {
+  std::span<const NodeId> neighbors(NodeId v) const {
     DASM_CHECK(v >= 0 && v < node_count());
-    return adj_[static_cast<std::size_t>(v)];
+    const auto i = static_cast<std::size_t>(v);
+    return {neighbours_.data() + offsets_[i],
+            static_cast<std::size_t>(offsets_[i + 1] - offsets_[i])};
+  }
+  /// Directed-edge index of v's first port: the edge (v, neighbors(v)[p])
+  /// has index row_offset(v) + p, in [0, 2 * edge_count()).
+  std::int64_t row_offset(NodeId v) const {
+    return offsets_[static_cast<std::size_t>(v)];
   }
   NodeId degree(NodeId v) const;
   bool has_edge(NodeId u, NodeId v) const;
@@ -51,8 +68,8 @@ class Graph {
   NodeId max_degree() const;
 
  private:
-  std::vector<std::vector<NodeId>> adj_;
-  std::int64_t edge_count_ = 0;
+  std::vector<std::int64_t> offsets_;  // node_count() + 1 entries
+  std::vector<NodeId> neighbours_;     // concatenated sorted rows
 };
 
 }  // namespace dasm

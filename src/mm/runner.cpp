@@ -102,7 +102,8 @@ RunResult run_maximal_matching(const Graph& g,
     auto node = make_node(config.backend, config.seed, v, degree_bound, n);
     const bool left =
         !is_left.empty() && is_left[static_cast<std::size_t>(v)];
-    node->reset(v, left, g.neighbors(v));
+    const auto row = g.neighbors(v);
+    node->reset(v, left, std::vector<NodeId>(row.begin(), row.end()));
     nodes.push_back(std::move(node));
   }
 

@@ -1,6 +1,7 @@
 #include "stable/instance.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -15,28 +16,38 @@ Instance::Instance(std::vector<Ranking> men, std::vector<Ranking> women) {
   men_ = PrefArena(std::move(men), nw, "man");
   women_ = PrefArena(std::move(women), nm, "woman");
 
-  std::vector<std::vector<NodeId>> men_to_women(static_cast<std::size_t>(nm));
+  // The symmetry loops also scatter the graph's CSR: men's rows, then
+  // women's, sized by the arena degrees. Each loop walks one side in
+  // ascending id order, so every row comes out sorted with no sort. An
+  // entry is written only once it is known to be mutual, so even
+  // asymmetric input cannot overflow a row.
+  const std::int64_t men_side = men_.total_degree();
+  std::vector<std::int64_t> offsets;
+  offsets.reserve(static_cast<std::size_t>(nm) + nw + 1);
+  offsets.assign(men_.offsets().begin(), men_.offsets().end() - 1);
+  for (const std::int64_t at : women_.offsets()) {
+    offsets.push_back(men_side + at);
+  }
+  std::vector<NodeId> neighbours(static_cast<std::size_t>(offsets.back()));
+  std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
   for (NodeId m = 0; m < nm; ++m) {
-    const RankedView ranked = men_.list(m).ranked();
-    for (NodeId w : ranked) {
+    for (NodeId w : men_.list(m).ranked()) {
       DASM_CHECK_MSG(women_.list(w).contains(m),
                      "asymmetric preferences: man " << m << " ranks woman "
                                                     << w << " but not back");
+      neighbours[static_cast<std::size_t>(cursor[nm + w]++)] = m;
     }
-    men_to_women[static_cast<std::size_t>(m)].assign(ranked.begin(),
-                                                     ranked.end());
   }
-  std::int64_t woman_side_edges = 0;
   for (NodeId w = 0; w < nw; ++w) {
     for (NodeId m : women_.list(w).ranked()) {
       DASM_CHECK_MSG(men_.list(m).contains(w),
                      "asymmetric preferences: woman " << w << " ranks man "
                                                       << m << " but not back");
-      ++woman_side_edges;
+      neighbours[static_cast<std::size_t>(cursor[m]++)] = nm + w;
     }
   }
-  graph_ = std::make_unique<BipartiteGraph>(nm, nw, men_to_women);
-  DASM_CHECK(graph_->graph().edge_count() == woman_side_edges);
+  graph_ = std::make_unique<BipartiteGraph>(
+      nm, nw, Graph(std::move(offsets), std::move(neighbours)));
 }
 
 bool Instance::is_complete() const {

@@ -42,29 +42,45 @@ std::string Cli::get(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
+namespace {
+
+// Parses all of `value` with `parse` (std::stoll or std::stod); a valid
+// prefix followed by anything else is rejected like an unparsable token.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& value,
+                 const char* expected, Parse parse) {
+  std::size_t used = 0;
+  decltype(parse(value, &used)) out{};
+  try {
+    out = parse(value, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  DASM_CHECK_MSG(used == value.size() && used > 0,
+                 "flag --" << name << " expects " << expected << ", got '"
+                           << value << "'");
+  return out;
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    DASM_CHECK_MSG(false, "flag --" << name << " expects an integer, got '"
-                                    << it->second << "'");
-  }
-  return fallback;  // unreachable
+  return parse_whole(name, it->second, "an integer",
+                     [](const std::string& s, std::size_t* used) {
+                       return static_cast<std::int64_t>(std::stoll(s, used));
+                     });
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    DASM_CHECK_MSG(false, "flag --" << name << " expects a number, got '"
-                                    << it->second << "'");
-  }
-  return fallback;  // unreachable
+  return parse_whole(name, it->second, "a number",
+                     [](const std::string& s, std::size_t* used) {
+                       return std::stod(s, used);
+                     });
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

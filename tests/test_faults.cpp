@@ -27,15 +27,6 @@
 namespace dasm {
 namespace {
 
-std::vector<std::vector<NodeId>> triangle() {
-  return {{1, 2}, {0, 2}, {0, 1}};
-}
-
-// Star: leaves 1..4 around center 0.
-std::vector<std::vector<NodeId>> star5() {
-  return {{1, 2, 3, 4}, {0}, {0}, {0}, {0}};
-}
-
 std::int64_t conservation_gap(const Network& net) {
   const NetStats& s = net.stats();
   return s.messages + s.duplicated + s.retransmitted -
@@ -84,7 +75,8 @@ TEST(FaultPlanTest, CounterPrngIsPureAndSaltSeparated) {
 }
 
 TEST(FaultNetworkTest, DropAllRoundReadsSilentAndCountsDropped) {
-  Network net(triangle());
+  const Graph g = testing::complete_graph(3);
+  Network net(g);
   FaultPlan plan;
   plan.seed = 7;
   plan.drop = 1.0;
@@ -108,7 +100,8 @@ TEST(FaultNetworkTest, FaultFreePlanDeliversSendOrderAndConserves) {
   // Fault mode engaged (nonzero plan) but with probabilities that never
   // fire on these draws is still exact accounting; use an edge override
   // of 0 to force the fault path with no losses.
-  Network net(star5());
+  const Graph g = testing::star_graph(4);
+  Network net(g);
   FaultPlan plan;
   plan.seed = 3;
   plan.edge_drops.push_back(EdgeDrop{1, 0, 0.0});
@@ -131,7 +124,8 @@ TEST(FaultNetworkTest, FaultFreePlanDeliversSendOrderAndConserves) {
 }
 
 TEST(FaultNetworkTest, PerEdgeDropOverridesGlobalProbability) {
-  Network net(triangle());
+  const Graph g = testing::complete_graph(3);
+  Network net(g);
   FaultPlan plan;
   plan.seed = 11;
   plan.drop = 0.0;
@@ -148,7 +142,8 @@ TEST(FaultNetworkTest, PerEdgeDropOverridesGlobalProbability) {
 }
 
 TEST(FaultNetworkTest, DuplicationDeliversExtraCopyLater) {
-  Network net(triangle());
+  const Graph g = testing::complete_graph(3);
+  Network net(g);
   FaultPlan plan;
   plan.seed = 5;
   plan.duplicate = 1.0;
@@ -168,7 +163,8 @@ TEST(FaultNetworkTest, DuplicationDeliversExtraCopyLater) {
 }
 
 TEST(FaultNetworkTest, DelayReordersAcrossRoundsDeterministically) {
-  Network net(triangle());
+  const Graph g = testing::complete_graph(3);
+  Network net(g);
   FaultPlan plan;
   plan.seed = 17;
   plan.delay = 1.0;
@@ -193,7 +189,8 @@ TEST(FaultNetworkTest, DelayReordersAcrossRoundsDeterministically) {
 }
 
 TEST(FaultNetworkTest, CrashStopKillsSendsAndReceives) {
-  Network net(triangle());
+  const Graph g = testing::complete_graph(3);
+  Network net(g);
   FaultPlan plan;
   plan.seed = 23;
   plan.crashes.push_back(CrashEvent{1, 2});  // node 2 dies at wire round 1
@@ -215,7 +212,8 @@ TEST(FaultNetworkTest, CrashStopKillsSendsAndReceives) {
 }
 
 TEST(FaultNetworkTest, ConservationLawUnderMixedFaults) {
-  Network net(star5());
+  const Graph g = testing::star_graph(4);
+  Network net(g);
   net.set_fault_plan(lossy_plan(99));
   Xoshiro256 rng = derive_stream(99, 0xFA);
   for (int round = 0; round < 200; ++round) {
@@ -245,7 +243,8 @@ TEST(FaultNetworkTest, ConservationLawUnderMixedFaults) {
 
 TEST(FaultNetworkTest, SameSeedSamePlanIsByteIdentical) {
   auto run = [](std::uint64_t plan_seed) {
-    Network net(star5());
+    const Graph g = testing::star_graph(4);
+    Network net(g);
     net.set_fault_plan(lossy_plan(plan_seed));
     net.enable_trace(1 << 12);
     std::vector<std::vector<Envelope>> inboxes;
@@ -267,7 +266,8 @@ TEST(FaultNetworkTest, SameSeedSamePlanIsByteIdentical) {
 }
 
 TEST(FaultNetworkTest, TraceDropCounterIsRingEvictionOnlyNotFaultDrops) {
-  Network net(triangle());
+  const Graph g = testing::complete_graph(3);
+  Network net(g);
   FaultPlan plan;
   plan.seed = 1;
   plan.drop = 1.0;
@@ -289,7 +289,8 @@ TEST(FaultNetworkTest, TraceDropCounterIsRingEvictionOnlyNotFaultDrops) {
 // Reliability sublayer.
 
 TEST(ReliableTransportTest, DeliversDespiteHeavyLossInSendOrder) {
-  Network net(star5());
+  const Graph g = testing::star_graph(4);
+  Network net(g);
   FaultPlan plan;
   plan.seed = 31;
   plan.drop = 0.5;
@@ -318,7 +319,8 @@ TEST(ReliableTransportTest, DeliversDespiteHeavyLossInSendOrder) {
 }
 
 TEST(ReliableTransportTest, IdempotentFilterSuppressesDuplicates) {
-  Network net(triangle());
+  const Graph g = testing::complete_graph(3);
+  Network net(g);
   FaultPlan plan;
   plan.seed = 41;
   plan.duplicate = 1.0;  // every copy duplicated, nothing lost
@@ -347,7 +349,8 @@ TEST(ReliableTransportTest, ReliableRunMatchesFaultFreeInboxes) {
   // The canonical-order contract: a reliable execution over a lossy
   // network reads exactly the inboxes of the fault-free execution, so
   // protocols behave identically and only the round/traffic cost differs.
-  Network reliable(star5());
+  const Graph g = testing::star_graph(4);
+  Network reliable(g);
   FaultPlan plan;
   plan.seed = 53;
   plan.drop = 0.3;
@@ -356,7 +359,7 @@ TEST(ReliableTransportTest, ReliableRunMatchesFaultFreeInboxes) {
   plan.max_delay = 2;
   reliable.set_fault_plan(plan);
   reliable.set_reliable_transport(/*retransmit_after=*/2);
-  Network clean(star5());
+  Network clean(g);
   for (int round = 0; round < 30; ++round) {
     for (Network* net : {&reliable, &clean}) {
       net->begin_round();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "graph/bipartite_graph.hpp"
 #include "util/check.hpp"
 
@@ -36,9 +40,34 @@ TEST(GraphTest, EdgesAreNormalizedAndSorted) {
 
 TEST(GraphTest, NeighborsSorted) {
   Graph g(4, {{0, 3}, {0, 1}, {0, 2}});
-  const auto& nb = g.neighbors(0);
+  const auto nb = g.neighbors(0);
   ASSERT_EQ(nb.size(), 3u);
   EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));
+}
+
+TEST(GraphTest, RowsAreSlicesOfOneArray) {
+  // Row v starts at row_offset(v) of one concatenation, so a directed
+  // edge's CSR position is row_offset(v) + port.
+  Graph g(4, {{2, 3}, {0, 3}, {1, 0}});
+  std::int64_t at = 0;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(g.row_offset(v), at);
+    EXPECT_EQ(g.neighbors(v).data(), g.neighbors(0).data() + at);
+    at += g.degree(v);
+  }
+  EXPECT_EQ(at, 2 * g.edge_count());
+}
+
+TEST(GraphTest, CsrHandOffKeepsTheArrays) {
+  // Path 0-1-2 in CSR form, handed over as finished arrays.
+  std::vector<NodeId> neighbours{1, 0, 2, 1};
+  const NodeId* storage = neighbours.data();
+  const Graph g({0, 1, 3, 4}, std::move(neighbours));
+  EXPECT_EQ(g.node_count(), 3);
+  EXPECT_EQ(g.edge_count(), 2);
+  EXPECT_EQ(g.neighbors(0).data(), storage);  // moved, not copied
+  EXPECT_EQ(g.edges(), (Graph(3, {{0, 1}, {1, 2}}).edges()));
+  EXPECT_EQ(g.max_degree(), 2);
 }
 
 TEST(GraphTest, RejectsSelfLoop) {
@@ -47,22 +76,29 @@ TEST(GraphTest, RejectsSelfLoop) {
 
 TEST(GraphTest, RejectsDuplicateEdge) {
   EXPECT_THROW(Graph(2, {{0, 1}, {1, 0}}), CheckError);
+  EXPECT_THROW(Graph(2, {{0, 1}, {0, 1}}), CheckError);
+  EXPECT_THROW(Graph(3, {{1, 2}, {0, 1}, {2, 1}}), CheckError);
 }
 
 TEST(GraphTest, RejectsOutOfRangeEndpoint) {
   EXPECT_THROW(Graph(2, {{0, 2}}), CheckError);
+  EXPECT_THROW(Graph(2, {{5, 1}}), CheckError);
   EXPECT_THROW(Graph(2, {{-1, 0}}), CheckError);
+  EXPECT_THROW(Graph(2, {{0, -1}}), CheckError);
 }
 
 TEST(GraphTest, QueriesValidateArguments) {
   Graph g(2, {{0, 1}});
   EXPECT_THROW(g.neighbors(5), CheckError);
   EXPECT_FALSE(g.has_edge(-1, 0));
+  EXPECT_FALSE(g.has_edge(0, 0));
+  EXPECT_FALSE(g.has_edge(0, 99));
 }
 
 TEST(BipartiteGraphTest, IdMapping) {
   // 2 men, 3 women; man 0 ranks women 0 and 2, man 1 ranks woman 1.
-  BipartiteGraph bg(2, 3, {{0, 2}, {1}});
+  const Graph g(5, {{0, 2}, {0, 4}, {1, 3}});
+  BipartiteGraph bg(2, 3, g);
   EXPECT_EQ(bg.node_count(), 5);
   EXPECT_EQ(bg.man_id(1), 1);
   EXPECT_EQ(bg.woman_id(0), 2);
@@ -79,8 +115,9 @@ TEST(BipartiteGraphTest, IdMapping) {
 }
 
 TEST(BipartiteGraphTest, RejectsBadIndices) {
-  EXPECT_THROW(BipartiteGraph(1, 1, {{1}}), CheckError);  // woman 1 missing
-  BipartiteGraph bg(1, 1, {{0}});
+  const Graph g(2, {{0, 1}});
+  EXPECT_THROW(BipartiteGraph(1, 2, g), CheckError);  // node count mismatch
+  BipartiteGraph bg(1, 1, g);
   EXPECT_THROW(bg.man_id(1), CheckError);
   EXPECT_THROW(bg.woman_index(0), CheckError);  // id 0 is a man
 }

@@ -22,12 +22,14 @@ std::unique_ptr<mm::Node> greedy_node(NodeId id) {
 struct Harness {
   Harness()
       : arena(std::vector<Ranking>{{0, 1}, {0}}, /*universe=*/2, "test"),
-        net({{1, 2}, {0}, {0}}),
+        graph(3, {{0, 1}, {0, 2}}),
+        net(graph),
         man(0, arena.list(0), /*k=*/2, /*woman_id_offset=*/1, greedy_node(0)),
         w0(1, arena.list(1), 2, greedy_node(1)),
         w1(2, arena.list(1), 2, greedy_node(2)) {}
 
   PrefArena arena;
+  Graph graph;
   Network net;
   ManPlayer man;
   WomanPlayer w0;
@@ -102,7 +104,8 @@ TEST(ManPlayerTest, ExhaustedManIsGood) {
 TEST(WomanPlayerTest, AcceptsBestProposingQuantile) {
   // Woman (node 2) ranks men 0 and 1; k = 2 so each is his own quantile.
   PrefArena arena(std::vector<Ranking>{{0, 1}}, 2, "woman");
-  Network net({{2}, {2}, {0, 1}});
+  const Graph g(3, {{0, 2}, {1, 2}});
+  Network net(g);
   WomanPlayer w(2, arena.list(0), 2, greedy_node(2));
 
   net.begin_round();
@@ -121,7 +124,8 @@ TEST(WomanPlayerTest, AcceptsBestProposingQuantile) {
 TEST(WomanPlayerTest, AcceptsWholeQuantileWhenCoarse) {
   // k = 1: both men share quantile 1, so both get accepted.
   PrefArena arena(std::vector<Ranking>{{0, 1}}, 2, "woman");
-  Network net({{2}, {2}, {0, 1}});
+  const Graph g(3, {{0, 2}, {1, 2}});
+  Network net(g);
   WomanPlayer w(2, arena.list(0), 1, greedy_node(2));
   net.begin_round();
   net.send(0, 2, Message{MsgType::kPropose});
@@ -136,7 +140,8 @@ TEST(WomanPlayerTest, AcceptsWholeQuantileWhenCoarse) {
 
 TEST(WomanPlayerTest, ProposalFromUnrankedManIsAViolation) {
   PrefArena arena(std::vector<Ranking>{{0}}, 2, "woman");
-  Network net({{2}, {2}, {0, 1}});
+  const Graph g(3, {{0, 2}, {1, 2}});
+  Network net(g);
   WomanPlayer w(2, arena.list(0), 1, greedy_node(2));
   net.begin_round();
   net.send(1, 2, Message{MsgType::kPropose});  // man 1 is not on her list

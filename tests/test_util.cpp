@@ -92,7 +92,14 @@ TEST(CliTest, MalformedValuesThrow) {
   const char* argv[] = {"prog", "--n=abc", "--x=1.2.3", "--b=maybe"};
   Cli cli(4, argv);
   EXPECT_THROW(cli.get_int("n", 0), CheckError);
+  EXPECT_THROW(cli.get_double("x", 0), CheckError);
   EXPECT_THROW(cli.get_bool("b", false), CheckError);
+  // A valid prefix followed by garbage is rejected, not truncated.
+  const char* trailing[] = {"prog", "--n=8x", "--seed=1.9", "--eps=0.5e"};
+  Cli cli_trailing(4, trailing);
+  EXPECT_THROW(cli_trailing.get_int("n", 0), CheckError);
+  EXPECT_THROW(cli_trailing.get_int("seed", 0), CheckError);
+  EXPECT_THROW(cli_trailing.get_double("eps", 0), CheckError);
 }
 
 }  // namespace

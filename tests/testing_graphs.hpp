@@ -62,4 +62,13 @@ inline Graph complete_graph(NodeId n) {
   return Graph(n, edges);
 }
 
+/// K_{half,half}: left vertices 0..half-1, right half..2*half-1.
+inline Graph complete_bipartite_graph(NodeId half) {
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < half; ++u) {
+    for (NodeId v = 0; v < half; ++v) edges.push_back({u, half + v});
+  }
+  return Graph(2 * half, edges);
+}
+
 }  // namespace dasm::testing
