@@ -218,6 +218,12 @@ class Network {
   /// order. The view is invalidated by the next end_round().
   InboxView inbox(NodeId v) const;
 
+  /// The nodes whose inbox the most recent end_round() filled, in
+  /// first-receipt order (not sorted). The view is invalidated by the next
+  /// end_round(). Round engines build their frontiers from it, so a round
+  /// touches only its receivers.
+  std::span<const NodeId> receivers() const { return receivers_; }
+
   /// True if the most recent end_round() delivered no messages at all —
   /// under fault injection, a round whose every copy was dropped or
   /// delayed reads as silent (nothing reached an inbox).

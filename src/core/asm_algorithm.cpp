@@ -2,6 +2,8 @@
 // QuantileMatch loop, and result assembly.
 #include "core/engine.hpp"
 
+#include <numeric>
+
 #include "mm/runner.hpp"
 #include "stable/blocking.hpp"
 #include "util/check.hpp"
@@ -39,6 +41,8 @@ AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
                         player_k(inst.woman_pref(w)),
                         make_mm(bg.woman_id(w)));
   }
+  proposers_.resize(static_cast<std::size_t>(inst.n_men()));
+  std::iota(proposers_.begin(), proposers_.end(), NodeId{0});
   DASM_CHECK_MSG(params.threads >= 0, "AsmParams::threads must be >= 0");
   const int threads =
       params.threads == 0 ? par::hardware_threads() : params.threads;
@@ -67,10 +71,15 @@ AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
     m_runs_ = params.metrics->counter("engine.runs");
     m_outer_iters_ = params.metrics->counter("engine.outer_iters");
     m_inner_iters_ = params.metrics->counter("engine.inner_iters");
+    m_player_steps_ = params.metrics->counter("engine.player_steps");
     m_outer_us_ = params.metrics->histogram("time.engine.outer_us");
     m_inner_us_ = params.metrics->histogram("time.engine.inner_us");
     m_inner_rounds_ = params.metrics->histogram("engine.inner_rounds");
     m_certify_us_ = params.metrics->histogram("time.engine.certify_us");
+    m_propose_us_ = params.metrics->histogram("time.engine.propose_us");
+    m_accept_us_ = params.metrics->histogram("time.engine.accept_us");
+    m_mm_us_ = params.metrics->histogram("time.engine.mm_us");
+    m_resolve_us_ = params.metrics->histogram("time.engine.resolve_us");
     net_.set_metrics(params.metrics);
   }
 }
@@ -90,17 +99,6 @@ NodeId g0_degree_bound(const Instance& inst, NodeId k) {
 bool AsmEngine::round_budget_exhausted() const {
   return params_.max_rounds > 0 &&
          net_.stats().executed_rounds >= params_.max_rounds;
-}
-
-bool AsmEngine::globally_quiescent() const {
-  // A silent QuantileMatch ends the execution for good: every currently
-  // gated-in man is matched or exhausted, active sets only shrink as the
-  // threshold doubles, and a good man only becomes bad again when some
-  // other man's proposal displaces him (see DESIGN.md substitution 3).
-  for (const auto& man : men_) {
-    if (man.would_propose()) return false;
-  }
-  return true;
 }
 
 void AsmEngine::record_snapshot(int outer_iteration) {
@@ -130,9 +128,8 @@ AsmResult AsmEngine::run() {
     rec_.begin_span(obs::Phase::kOuter, i, net_.stats());
     const std::int64_t threshold =
         params_.gate_by_degree ? (std::int64_t{1} << std::min(i, 62)) : 1;
-    for_each_man([&](NodeId m) {
-      men_[static_cast<std::size_t>(m)].set_outer_gate(threshold);
-    });
+    for (auto& man : men_) man.set_outer_gate(threshold);
+    m_player_steps_.inc(static_cast<std::int64_t>(men_.size()));
 
     for (std::int64_t j = 0; j < sched_.inner; ++j) {
       const std::int64_t inner_index = inner_iteration_counter_;
@@ -150,6 +147,11 @@ AsmResult AsmEngine::run() {
       emit_inner_counters();
       rec_.end_span(obs::Phase::kInner, inner_index, net_.stats());
       if (round_budget_exhausted()) return build_result();
+      // A silent QuantileMatch that leaves nobody who would propose ends
+      // the execution for good: every currently gated-in man is matched
+      // or exhausted, active sets only shrink as the threshold doubles,
+      // and a good man only becomes bad again when some other man's
+      // proposal displaces him (see DESIGN.md substitution 3).
       if (params_.trim_quiescent_phases && !moved && globally_quiescent()) {
         // Charge the rest of the paper schedule and stop.
         const std::int64_t remaining_qms =

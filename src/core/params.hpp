@@ -82,8 +82,10 @@ struct AsmParams {
   std::int64_t max_rounds = 0;
 
   /// Worker threads stepping players inside each CONGEST round (Layer 1
-  /// of the parallel engine; DESIGN.md §6). 1 = the serial engine, 0 =
-  /// hardware concurrency. Every value yields bit-identical results —
+  /// of the parallel engine; DESIGN.md §6): a round's frontier goes to
+  /// the pool once it clears par::kParallelStepCutoff. 1 = the serial
+  /// engine, 0 = hardware concurrency. Every value yields bit-identical
+  /// results —
   /// the network's per-thread send lanes merge in node-id-major order,
   /// and randomized backends draw from per-node PRNG streams.
   int threads = 1;

@@ -69,7 +69,6 @@ void ManPlayer::process_rejections(InboxView inbox) {
 }
 
 void ManPlayer::propose_round(Network& net) {
-  mm_engaged_ = false;
   if (dropped_ || partner_ != kNoNode) return;
   for (NodeId w : active_targets_) {
     net.send(node_id_, w + woman_id_offset_, Message{MsgType::kPropose});
@@ -78,11 +77,14 @@ void ManPlayer::propose_round(Network& net) {
 
 void ManPlayer::mm_first_round(InboxView inbox,
                                Network& net) {
-  std::vector<NodeId> accepted;
+  // The node copies the list, so one scratch list per thread serves every
+  // man: steady-state steps allocate nothing and no man keeps a copy.
+  thread_local std::vector<NodeId> g0;
+  g0.clear();
   for (const Envelope& e : inbox) {
-    if (e.msg.type == MsgType::kAccept) accepted.push_back(e.from);
+    if (e.msg.type == MsgType::kAccept) g0.push_back(e.from);
   }
-  mm_->reset(node_id_, /*is_left=*/true, std::move(accepted));
+  mm_->reset(node_id_, /*is_left=*/true, g0);
   mm_engaged_ = true;
   mm_->on_round(inbox, net);
 }
@@ -92,25 +94,24 @@ void ManPlayer::mm_round(InboxView inbox, Network& net) {
   mm_->on_round(inbox, net);
 }
 
-void ManPlayer::resolve_round() {
+void ManPlayer::resolve_round(bool drop_unsatisfied) {
   if (!mm_engaged_) return;
+  mm_engaged_ = false;
   const NodeId p0 = mm_->partner();
-  if (p0 == kNoNode) return;
-  DASM_CHECK_MSG(partner_ == kNoNode,
-                 "man " << node_id_ << " matched in M0 while already engaged");
-  partner_ = p0 - woman_id_offset_;
-  DASM_DCHECK(pref_->contains(partner_));
-  active_targets_.clear();  // A <- {} (Step 4)
-}
-
-bool ManPlayer::drop_if_unsatisfied() {
-  if (dropped_ || !mm_engaged_) return false;
-  if (mm_->quiescent()) return false;
-  // Unsatisfied per Definition 3 at truncation: unmatched in M0 with an
-  // unmatched accepted neighbour. Removed from play (§5.2, footnote 2).
-  dropped_ = true;
-  active_targets_.clear();
-  return true;
+  if (p0 != kNoNode) {
+    DASM_CHECK_MSG(partner_ == kNoNode, "man " << node_id_
+                                               << " matched in M0 while"
+                                               << " already engaged");
+    partner_ = p0 - woman_id_offset_;
+    DASM_DCHECK(pref_->contains(partner_));
+    active_targets_.clear();  // A <- {} (Step 4)
+  }
+  if (drop_unsatisfied && !dropped_ && !mm_->quiescent()) {
+    // Unsatisfied per Definition 3 at truncation: unmatched in M0 with an
+    // unmatched accepted neighbour. Removed from play (§5.2, footnote 2).
+    dropped_ = true;
+    active_targets_.clear();
+  }
 }
 
 void ManPlayer::finalize(InboxView inbox) {
@@ -130,13 +131,15 @@ WomanPlayer::WomanPlayer(NodeId node_id, const PreferenceList& pref, NodeId k,
 
 void WomanPlayer::accept_round(InboxView inbox,
                                Network& net) {
-  accepted_.clear();
-  mm_engaged_ = false;
+  DASM_DCHECK(accepted_.empty() && !mm_engaged_);
   // Find the best (smallest) quantile among this round's proposers. Every
   // proposer is still in Q — membership pruning is symmetric — hence in a
-  // strictly better quantile than the current partner (Lemma 1).
+  // strictly better quantile than the current partner (Lemma 1). A second
+  // pass over the inbox accepts that quantile, so no proposer list is kept.
+  auto quantile_of = [this](NodeId m) {
+    return quantile_of_rank(pref_->rank_of(m), pref_->degree(), k_);
+  };
   NodeId best_quantile = kNoNode;
-  std::vector<std::pair<NodeId, NodeId>> proposers;  // (quantile, man id)
   for (const Envelope& e : inbox) {
     if (e.msg.type != MsgType::kPropose) continue;
     const NodeId m = e.from;
@@ -148,19 +151,15 @@ void WomanPlayer::accept_round(InboxView inbox,
                    "proposal from pruned man " << m << " to woman "
                                                << node_id_);
     const NodeId q = quantile_of_rank(r, pref_->degree(), k_);
-    proposers.emplace_back(q, m);
     if (best_quantile == kNoNode || q < best_quantile) best_quantile = q;
   }
   if (best_quantile == kNoNode) return;
-  if (partner_ != kNoNode) {
-    DASM_DCHECK(best_quantile <
-                quantile_of_rank(pref_->rank_of(partner_), pref_->degree(),
-                                 k_));
-  }
-  for (const auto& [q, m] : proposers) {
-    if (q == best_quantile) {
-      accepted_.push_back(m);
-      net.send(node_id_, m, Message{MsgType::kAccept});
+  DASM_DCHECK(partner_ == kNoNode || best_quantile < quantile_of(partner_));
+  for (const Envelope& e : inbox) {
+    if (e.msg.type == MsgType::kPropose &&
+        quantile_of(e.from) == best_quantile) {
+      accepted_.push_back(e.from);
+      net.send(node_id_, e.from, Message{MsgType::kAccept});
     }
   }
 }
@@ -179,10 +178,12 @@ void WomanPlayer::mm_round(InboxView inbox, Network& net) {
 
 void WomanPlayer::resolve_round(Network& net) {
   if (!mm_engaged_) return;
+  mm_engaged_ = false;
   const NodeId p0 = mm_->partner();
+  DASM_DCHECK(p0 == kNoNode || std::find(accepted_.begin(), accepted_.end(),
+                                         p0) != accepted_.end());
+  accepted_.clear();
   if (p0 == kNoNode) return;
-  DASM_DCHECK(std::find(accepted_.begin(), accepted_.end(), p0) !=
-              accepted_.end());
   const NodeId q0 =
       quantile_of_rank(pref_->rank_of(p0), pref_->degree(), k_);
   // Lemma 1 (monotonicity): a new partner always sits in a strictly

@@ -6,9 +6,14 @@
 // accepted in the current ProposalRound. Both embed a maximal-matching
 // node (mm::Node) that runs Step 3 on the accepted-proposal graph.
 //
-// The engine drives every player through the globally known phase
-// sequence; players only ever read their own state and their inbox, so
-// each method corresponds to a valid CONGEST round (see DESIGN.md).
+// The engine drives the players through the globally known phase
+// sequence, stepping in each round only the players that can act in it
+// (frontier stepping, DESIGN.md §6); players only ever read their own
+// state and their inbox, so each method corresponds to a valid CONGEST
+// round (see DESIGN.md). A player's per-ProposalRound state (its G0
+// neighbours, whether its MM node was reset) is cleared by the step that
+// consumes it, resolve_round(), so a player the engine does not step
+// stays idle without a per-round reset.
 #pragma once
 
 #include <memory>
@@ -45,6 +50,12 @@ class ManPlayer {
   bool would_propose() const {
     return partner_ == kNoNode && !active_targets_.empty();
   }
+  /// True while a later QuantileMatch can give him targets: not dropped,
+  /// unmatched, Q nonempty. Any other man has an empty A, which
+  /// begin_quantile_match() leaves empty.
+  bool may_propose() const {
+    return !dropped_ && partner_ == kNoNode && q_size_ > 0;
+  }
 
   /// Outer-loop gate (Algorithm 3): active iff |Q| >= threshold.
   void set_outer_gate(std::int64_t threshold);
@@ -59,17 +70,17 @@ class ManPlayer {
   void propose_round(Network& net);
 
   /// First round of the embedded maximal matching: his G0 neighbours are
-  /// the women whose ACCEPT is in the inbox.
+  /// the women whose ACCEPT is in the inbox. Allocation-free once the
+  /// buffers have grown to the largest G0 degree.
   void mm_first_round(InboxView inbox, Network& net);
   void mm_round(InboxView inbox, Network& net);
   bool mm_quiescent() const { return mm_->quiescent(); }
 
-  /// ProposalRound Step 4, man side: adopt the M0 partner if matched.
-  void resolve_round();
-
-  /// §5.2: if the truncated matching left him Definition-3-unsatisfied,
-  /// remove him from play. Returns true if he was dropped now.
-  bool drop_if_unsatisfied();
+  /// ProposalRound Step 4, man side: adopt the M0 partner if matched;
+  /// with `drop_unsatisfied` (§5.2), a man the truncated matching left
+  /// Definition-3-unsatisfied is removed from play. Ends his part in this
+  /// ProposalRound's G0.
+  void resolve_round(bool drop_unsatisfied);
 
   /// Processes any rejections still in the inbox after the final round.
   void finalize(InboxView inbox);
@@ -89,7 +100,7 @@ class ManPlayer {
   std::vector<NodeId> active_targets_;  // A, as woman indices
   bool active_ = true;
   bool dropped_ = false;
-  bool mm_engaged_ = false;  // reset() was called this ProposalRound
+  bool mm_engaged_ = false;  // in G0: mm_first_round() until resolve_round()
 };
 
 class WomanPlayer {
@@ -104,7 +115,11 @@ class WomanPlayer {
 
   /// ProposalRound Step 2: accept every proposal from the best quantile
   /// that proposed; the accepted men form her side of G0.
+  /// Allocation-free once her G0 list has grown to its largest size.
   void accept_round(InboxView inbox, Network& net);
+  /// True from accept_round() to resolve_round() if she accepted someone:
+  /// she is a G0 endpoint of this ProposalRound.
+  bool in_g0() const { return !accepted_.empty(); }
 
   void mm_first_round(InboxView inbox, Network& net);
   void mm_round(InboxView inbox, Network& net);
@@ -112,7 +127,8 @@ class WomanPlayer {
 
   /// ProposalRound Step 4: if matched in M0, reject every remaining Q
   /// member in a quantile no better than the new partner's and prune them
-  /// from Q (Lemma 1's monotonicity follows from this pruning).
+  /// from Q (Lemma 1's monotonicity follows from this pruning). Ends her
+  /// part in this ProposalRound's G0.
   void resolve_round(Network& net);
 
  private:

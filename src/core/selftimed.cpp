@@ -48,8 +48,7 @@ class SelfTimedMan {
         }
         break;
       case PhaseKind::kResolve:
-        player_.resolve_round();
-        if (drop_rule_) player_.drop_if_unsatisfied();
+        player_.resolve_round(drop_rule_);
         break;
     }
   }

@@ -44,12 +44,12 @@ ColorClassNode::ColorClassNode(NodeId delta_bound, NodeId n_bound)
 }
 
 void ColorClassNode::reset(NodeId self, bool /*is_left*/,
-                           std::vector<NodeId> neighbors) {
+                           std::span<const NodeId> neighbors) {
   DASM_CHECK_MSG(static_cast<NodeId>(neighbors.size()) <= delta_,
                  "node " << self << " has degree " << neighbors.size()
                          << " above the declared bound " << delta_);
   self_ = self;
-  neighbors_ = std::move(neighbors);
+  neighbors_.assign(neighbors.begin(), neighbors.end());
   neighbor_alive_.assign(neighbors_.size(), true);
   peer_port_.assign(neighbors_.size(), kNoNode);
   alive_ = !neighbors_.empty();

@@ -46,7 +46,8 @@ class ColorClassNode final : public Node {
   /// reset on; `n_bound` >= the number of processors (for Cole–Vishkin).
   ColorClassNode(NodeId delta_bound, NodeId n_bound);
 
-  void reset(NodeId self, bool is_left, std::vector<NodeId> neighbors) override;
+  void reset(NodeId self, bool is_left,
+             std::span<const NodeId> neighbors) override;
   void on_round(InboxView inbox, Network& net) override;
   NodeId partner() const override { return partner_; }
   bool quiescent() const override { return !alive_; }

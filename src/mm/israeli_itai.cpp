@@ -7,9 +7,9 @@
 namespace dasm::mm {
 
 void IsraeliItaiNode::reset(NodeId self, bool /*is_left*/,
-                            std::vector<NodeId> neighbors) {
+                            std::span<const NodeId> neighbors) {
   self_ = self;
-  neighbors_ = std::move(neighbors);
+  neighbors_.assign(neighbors.begin(), neighbors.end());
   neighbor_alive_.assign(neighbors_.size(), true);
   alive_ = !neighbors_.empty();
   partner_ = kNoNode;
@@ -74,12 +74,21 @@ void IsraeliItaiNode::on_round(InboxView inbox,
     }
     case Phase::kKeep: {
       if (alive_) {
-        std::vector<NodeId> in_picks;
+        // Keep the j-th incoming pick, j uniform: count, draw, then find
+        // it (no per-step list).
+        std::uint64_t picks = 0;
         for (const Envelope& e : inbox) {
-          if (e.msg.type == MsgType::kMmPick) in_picks.push_back(e.from);
+          if (e.msg.type == MsgType::kMmPick) ++picks;
         }
-        if (!in_picks.empty()) {
-          kept_in_ = in_picks[rng_.below(in_picks.size())];
+        if (picks > 0) {
+          std::uint64_t j = rng_.below(picks);
+          for (const Envelope& e : inbox) {
+            if (e.msg.type != MsgType::kMmPick) continue;
+            if (j-- == 0) {
+              kept_in_ = e.from;
+              break;
+            }
+          }
           net.send(self_, kept_in_, Message{MsgType::kMmKeep});
         }
       }
@@ -93,14 +102,15 @@ void IsraeliItaiNode::on_round(InboxView inbox,
             out_was_kept_ = true;
           }
         }
-        // Incident edges of the sparse graph G' at this node.
-        std::vector<NodeId> incident;
-        if (kept_in_ != kNoNode) incident.push_back(kept_in_);
+        // Incident edges of the sparse graph G' at this node (at most two).
+        NodeId incident[2];
+        std::uint64_t count = 0;
+        if (kept_in_ != kNoNode) incident[count++] = kept_in_;
         if (out_was_kept_ && picked_out_ != kept_in_) {
-          incident.push_back(picked_out_);
+          incident[count++] = picked_out_;
         }
-        if (!incident.empty()) {
-          chosen_ = incident[rng_.below(incident.size())];
+        if (count > 0) {
+          chosen_ = incident[rng_.below(count)];
           net.send(self_, chosen_, Message{MsgType::kMmChoose});
         }
       }

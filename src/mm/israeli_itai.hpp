@@ -26,7 +26,8 @@ class IsraeliItaiNode final : public Node {
   /// `rng` must be an independent stream per node (derive_stream(seed, id)).
   explicit IsraeliItaiNode(Xoshiro256 rng) : rng_(rng) {}
 
-  void reset(NodeId self, bool is_left, std::vector<NodeId> neighbors) override;
+  void reset(NodeId self, bool is_left,
+             std::span<const NodeId> neighbors) override;
   void on_round(InboxView inbox, Network& net) override;
   NodeId partner() const override { return partner_; }
   bool quiescent() const override { return !alive_; }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,16 +25,20 @@ class Node {
   virtual ~Node() = default;
 
   /// Begins a new protocol execution on a fresh (sub)graph. `neighbors`
-  /// is this node's live neighbour list; `is_left` identifies the
-  /// proposing side for bipartite protocols (ignored by symmetric ones).
-  /// Randomized protocols keep consuming their stream across resets so
-  /// repeated executions stay independent.
+  /// is this node's live neighbour list, copied into storage the node
+  /// keeps across resets (so a reset allocates only when a list outgrows
+  /// every earlier one); `is_left` identifies the proposing side for
+  /// bipartite protocols (ignored by symmetric ones). Randomized protocols
+  /// keep consuming their stream across resets so repeated executions
+  /// stay independent. A node reset on an empty list is quiescent at once.
   virtual void reset(NodeId self, bool is_left,
-                     std::vector<NodeId> neighbors) = 0;
+                     std::span<const NodeId> neighbors) = 0;
 
   /// Executes one communication round: consume this round's envelopes,
-  /// send next-round messages through `net`. All nodes are stepped in
-  /// lockstep between net.begin_round() and net.end_round().
+  /// send next-round messages through `net`. Nodes are stepped in
+  /// lockstep between net.begin_round() and net.end_round(). A quiescent
+  /// node's step sends nothing and draws nothing from its PRNG stream,
+  /// so drivers skip quiescent nodes (frontier stepping, DESIGN.md §6).
   virtual void on_round(InboxView inbox, Network& net) = 0;
 
   /// Partner in the matching constructed so far (kNoNode if unmatched).

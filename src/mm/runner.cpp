@@ -7,6 +7,7 @@
 #include "mm/pointer_greedy.hpp"
 #include "mm/random_priority.hpp"
 #include "obs/trace.hpp"
+#include "par/frontier.hpp"
 #include "par/thread_pool.hpp"
 #include "util/check.hpp"
 
@@ -97,26 +98,22 @@ RunResult run_maximal_matching(const Graph& g,
   }
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.reserve(static_cast<std::size_t>(n));
+  // The frontier: the nodes not yet quiescent, ascending. Only they are
+  // stepped; a quiescent node's step would send and draw nothing.
+  std::vector<NodeId> live;
   const NodeId degree_bound = std::max<NodeId>(g.max_degree(), 1);
   for (NodeId v = 0; v < n; ++v) {
     auto node = make_node(config.backend, config.seed, v, degree_bound, n);
     const bool left =
         !is_left.empty() && is_left[static_cast<std::size_t>(v)];
-    const auto row = g.neighbors(v);
-    node->reset(v, left, std::vector<NodeId>(row.begin(), row.end()));
+    node->reset(v, left, g.neighbors(v));
+    if (!node->quiescent()) live.push_back(v);
     nodes.push_back(std::move(node));
   }
 
   RunResult result;
   const int rounds_per_iter =
       n > 0 ? nodes[0]->rounds_per_iteration() : 1;
-
-  auto all_quiescent = [&]() {
-    for (const auto& node : nodes) {
-      if (!node->quiescent()) return false;
-    }
-    return true;
-  };
 
   int iter = 0;
   rec.begin_span(obs::Phase::kRun, 0, net.stats());
@@ -125,35 +122,31 @@ RunResult run_maximal_matching(const Graph& g,
   // reset()/operator+= round-trip test_network.cpp asserts on.
   NetStats window;
   while (true) {
-    if (config.stop_on_quiescence && all_quiescent()) break;
+    if (config.stop_on_quiescence && live.empty()) break;
     if (config.max_iterations > 0 && iter >= config.max_iterations) break;
-    if (config.max_iterations == 0 && all_quiescent()) break;
+    if (config.max_iterations == 0 && live.empty()) break;
     rec.begin_span(obs::Phase::kMmIteration, iter, net.stats());
     const NetStats at_iteration_start = net.stats();
     for (int r = 0; r < rounds_per_iter; ++r) {
       net.begin_round();
-      if (pool) {
-        // Node steps within a round are independent (each reads only its
-        // delivered inbox, writes only its own edges); the send lanes
-        // restore the sequential node-id-major commit order.
-        pool->parallel_for(0, n, [&](std::int64_t v) {
-          nodes[static_cast<std::size_t>(v)]->on_round(
-              net.inbox(static_cast<NodeId>(v)), net);
-        });
-      } else {
-        for (NodeId v = 0; v < n; ++v) {
-          nodes[static_cast<std::size_t>(v)]->on_round(net.inbox(v), net);
-        }
-      }
+      // Node steps within a round are independent (each reads only its
+      // delivered inbox, writes only its own edges); the send lanes
+      // restore the sequential node-id-major commit order.
+      par::step_frontier(pool.get(), live, [&](NodeId v) {
+        nodes[static_cast<std::size_t>(v)]->on_round(net.inbox(v), net);
+      });
       net.end_round();
+      std::erase_if(live, [&](NodeId v) {
+        return nodes[static_cast<std::size_t>(v)]->quiescent();
+      });
     }
-    std::int64_t live = 0;
-    for (const auto& node : nodes) live += node->quiescent() ? 0 : 1;
-    result.live_after_iteration.push_back(live);
+    const auto live_count = static_cast<std::int64_t>(live.size());
+    result.live_after_iteration.push_back(live_count);
     window.reset();
     window += net.stats().delta_since(at_iteration_start);
     result.per_iteration_net.push_back(window);
-    rec.counter(obs::Counter::kMmLiveNodes, net.stats().executed_rounds, live);
+    rec.counter(obs::Counter::kMmLiveNodes, net.stats().executed_rounds,
+                live_count);
     rec.end_span(obs::Phase::kMmIteration, iter, net.stats());
     ++iter;
   }

@@ -119,7 +119,8 @@ TEST(ColorClassNode, LooseDegreeBoundStillWorks) {
 
 TEST(ColorClassNode, RejectsDegreeAboveBound) {
   mm::ColorClassNode node(2, 16);
-  EXPECT_THROW(node.reset(0, false, {1, 2, 3}), CheckError);
+  const std::vector<NodeId> three{1, 2, 3};
+  EXPECT_THROW(node.reset(0, false, three), CheckError);
 }
 
 TEST(ColorMatching, UsesOnlyExpectedMessageTypes) {

@@ -279,6 +279,54 @@ TEST(MetricsDeterminism, EngineLogicalSnapshotsByteIdenticalAcrossThreads) {
   }
 }
 
+std::int64_t counter_value(const MetricsSnapshot& snap,
+                           const std::string& name) {
+  for (const auto& c : snap.counters) {
+    if (c.name == name) return c.value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return -1;
+}
+
+TEST(MetricsDeterminism, EngineStepsOnlyTheFrontier) {
+  // Frontier stepping (DESIGN.md §6): a round steps the players that can
+  // act in it, not all 2n. On a sparse market most of every round is
+  // silent, so a regression to full per-round sweeps (rounds x 2n player
+  // steps) fails the 10% bound by an order of magnitude.
+  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
+  const NodeId n = 4096;
+  const Instance inst = gen::bounded_degree(n, 8, 1);
+  std::int64_t steps_at_one = -1;
+  for (const int threads : {1, 4}) {
+    MetricsRegistry reg;
+    core::AsmParams params;
+    params.threads = threads;
+    params.metrics = &reg;
+    const auto result = core::run_asm(inst, params);
+    const MetricsSnapshot snap = reg.snapshot();
+    const std::int64_t steps = counter_value(snap, "engine.player_steps");
+    const std::int64_t sweep_steps =
+        result.net.executed_rounds * 2 * static_cast<std::int64_t>(n);
+    EXPECT_GT(steps, 0);
+    EXPECT_LT(steps * 10, sweep_steps)
+        << steps << " player steps over " << result.net.executed_rounds
+        << " rounds at threads=" << threads;
+    if (steps_at_one < 0) steps_at_one = steps;
+    EXPECT_EQ(steps, steps_at_one) << "logical counter at threads=" << threads;
+    for (const char* phase : {"propose", "accept", "mm", "resolve"}) {
+      const std::string name = std::string("time.engine.") + phase + "_us";
+      bool found = false;
+      for (const HistogramSnapshot& h : snap.histograms) {
+        if (h.name == name) {
+          found = true;
+          EXPECT_GT(h.count, 0) << name;
+        }
+      }
+      EXPECT_TRUE(found) << name;
+    }
+  }
+}
+
 TEST(MetricsDeterminism, ServiceLogicalSnapshotsByteIdenticalAcrossThreads) {
   if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   std::string expected;

@@ -4,8 +4,36 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "mm/runner.hpp"
 #include "util/check.hpp"
+
+// Allocation counter: every path to the heap in this binary goes through
+// these operators, so a delta of zero over a window proves the code in it
+// did not touch the allocator.
+namespace {
+std::atomic<long long> g_heap_allocs{0};
+}
+
+void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// The deletes stay out of line: a free() inlined next to a call of
+// operator new trips GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dasm::core {
 namespace {
@@ -87,6 +115,41 @@ TEST(ManPlayerTest, RejectionPrunesQAndPartner) {
   h.net.send(1, 0, Message{MsgType::kReject});
   h.net.end_round();
   EXPECT_THROW(h.man.finalize(h.net.inbox(0)), CheckError);
+}
+
+TEST(PlayerStepsTest, SteadyStateProposalRoundsDoNotAllocate) {
+  // One ProposalRound's player steps, repeated: the man proposes, woman 0
+  // accepts, both reset their MM nodes on G0, and both resolve unmatched
+  // (the MM is cut after its first round), which leaves every player
+  // where the next pass starts. The first pass grows the players' and the
+  // network's buffers; every later pass must reuse them.
+  Harness h;
+  h.man.begin_quantile_match();
+  auto pass = [&h] {
+    h.net.begin_round();
+    h.man.propose_round(h.net);
+    h.net.end_round();
+    h.net.begin_round();
+    h.w0.accept_round(h.net.inbox(1), h.net);
+    h.net.end_round();
+    EXPECT_TRUE(h.w0.in_g0());
+    h.net.begin_round();
+    h.man.mm_first_round(h.net.inbox(0), h.net);
+    h.w0.mm_first_round(h.net.inbox(1), h.net);
+    h.net.end_round();
+    h.net.begin_round();
+    h.man.resolve_round(/*drop_unsatisfied=*/false);
+    h.w0.resolve_round(h.net);
+    h.net.end_round();
+    h.man.finalize(h.net.inbox(0));
+    EXPECT_FALSE(h.w0.in_g0());
+    EXPECT_EQ(h.man.partner(), kNoNode);
+    EXPECT_TRUE(h.man.would_propose());
+  };
+  pass();
+  const long long before = g_heap_allocs.load();
+  for (int i = 0; i < 3; ++i) pass();
+  EXPECT_EQ(g_heap_allocs.load() - before, 0);
 }
 
 TEST(ManPlayerTest, ExhaustedManIsGood) {

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "graph/graph.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -24,6 +25,21 @@ TEST(Check, FailureThrowsWithContext) {
     const std::string what = e.what();
     EXPECT_NE(what.find("custom detail 42"), std::string::npos);
     EXPECT_NE(what.find("test_util.cpp"), std::string::npos);
+  }
+}
+
+TEST(Check, DiagnosticsNameFilesRelativeToTheRepository) {
+  // A library check fails with its file named from the repository root,
+  // never with the absolute build-time path: the same bad input gives the
+  // same error bytes from any checkout.
+  try {
+    const Graph g(2, {{0, 5}});
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find(DASM_SOURCE_DIR), std::string::npos) << what;
+    EXPECT_NE(what.find(" at src/graph/graph.cpp:"), std::string::npos)
+        << what;
   }
 }
 
